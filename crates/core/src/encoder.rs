@@ -1,7 +1,7 @@
 //! The Query Encoder (§4.1) and Plan Encoder (§4.2).
 
 use crate::config::ModelConfig;
-use crate::featurize::{FeatNode, QueryFeatures};
+use crate::featurize::{FeatNode, PlanFeatCache, QueryFeatures};
 use qpseeker_nn::prelude::*;
 
 /// MSCN-style set encoder: relations and joins each go through an MLP
@@ -144,6 +144,45 @@ pub struct EncodedPlan {
     pub node_vars: Vec<Var>,
 }
 
+/// Per-query memo of plan-encoder LSTM states: row `id` holds the `(h, c)`
+/// of the subtree interned as `id` in the query's
+/// [`PlanFeatCache`]. A node's bottom-up state depends only on its subtree,
+/// and the candidates of one search share most subtrees, so each distinct
+/// subtree is encoded once per search (see [`PlanEncoder::encode_subtrees`]).
+/// Memory: `2 × plan_node_out` f32 per distinct subtree.
+#[derive(Default)]
+pub(crate) struct SubtreeMemo {
+    h: Vec<f32>,
+    c: Vec<f32>,
+    /// Row width (`plan_node_out`).
+    dim: usize,
+    /// Rows computed so far (ids `0..rows`).
+    rows: usize,
+    /// Reused scheduling buffer for [`PlanEncoder::encode_subtrees`].
+    pending: Vec<u32>,
+}
+
+impl SubtreeMemo {
+    /// The output `h` of subtree `id`, `[out_dim]`.
+    pub(crate) fn h_row(&self, id: u32) -> &[f32] {
+        let at = id as usize * self.dim;
+        &self.h[at..at + self.dim]
+    }
+
+    fn c_row(&self, id: u32) -> &[f32] {
+        let at = id as usize * self.dim;
+        &self.c[at..at + self.dim]
+    }
+
+    /// Drop every state (keeping the allocations); pair with
+    /// [`PlanFeatCache::clear_subtrees`].
+    pub(crate) fn clear(&mut self) {
+        self.h.clear();
+        self.c.clear();
+        self.rows = 0;
+    }
+}
+
 impl PlanEncoder {
     pub fn new(
         store: &mut ParamStore,
@@ -212,89 +251,89 @@ impl PlanEncoder {
         (state_out, state_out.h)
     }
 
-    /// Tape-free [`Self::forward`]: the `[n_nodes, out_dim]` postorder node
-    /// outputs (root = last row), built entirely from scratch buffers. The
-    /// result comes from `sc` — recycle it when done.
-    pub fn forward_inference(
-        &self,
-        store: &ParamStore,
-        plan: &FeatNode,
-        sc: &mut ScratchArena,
-    ) -> Tensor {
-        let mut nodes = sc.take(plan.count(), self.out_dim);
-        let mut pos = 0usize;
-        let root_state = self.node_inference(store, plan, &mut nodes, &mut pos, sc);
-        root_state.recycle(sc);
-        nodes
-    }
-
-    fn node_inference(
-        &self,
-        store: &ParamStore,
-        node: &FeatNode,
-        nodes: &mut Tensor,
-        pos: &mut usize,
-        sc: &mut ScratchArena,
-    ) -> LstmStateBuf {
-        let mid_cols = node.mid.cols();
-        // The estimate slot is always out_dim - data_dim = 3 wide.
-        let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
-        let (input, state_in) = if node.children.is_empty() {
-            let mut input = sc.take(1, input_dim);
-            let est = node.leaf_est.as_ref().expect("leaf featurization includes estimates");
-            let d = input.data_mut();
-            d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
-            d[self.data_dim + mid_cols..].copy_from_slice(est.data());
-            (input, self.cell.zero_state_buf(1, sc))
-        } else {
-            // Sum child h/c states in child order (matching the tape's
-            // stack_rows + mean_rows accumulation), then scale to the mean.
-            // The pooled h doubles as the parent's child-data/estimate input.
-            let mut hsum = sc.take(1, self.out_dim);
-            let mut csum = sc.take(1, self.out_dim);
-            for c in &node.children {
-                let s = self.node_inference(store, c, nodes, pos, sc);
-                for (a, v) in hsum.data_mut().iter_mut().zip(s.h.data()) {
-                    *a += v;
-                }
-                for (a, v) in csum.data_mut().iter_mut().zip(s.c.data()) {
-                    *a += v;
-                }
-                s.recycle(sc);
-            }
-            let inv = 1.0 / node.children.len().max(1) as f32;
-            for a in hsum.data_mut() {
-                *a *= inv;
-            }
-            for a in csum.data_mut() {
-                *a *= inv;
-            }
-            let mut input = sc.take(1, input_dim);
-            let d = input.data_mut();
-            d[..self.data_dim].copy_from_slice(&hsum.data()[..self.data_dim]);
-            d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(node.mid.data());
-            d[self.data_dim + mid_cols..].copy_from_slice(&hsum.data()[self.data_dim..]);
-            (input, LstmStateBuf { h: hsum, c: csum })
-        };
-        let out = self.cell.step_inference(store, &input, &state_in, sc);
-        sc.recycle(input);
-        state_in.recycle(sc);
-        nodes.row_slice_mut(*pos).copy_from_slice(out.h.data());
-        *pos += 1;
-        out
-    }
-
-    /// Batched [`Self::forward_inference`] over `K` **shape-congruent** plans
-    /// (same tree structure and feature widths — e.g. left-deep MCTS
-    /// candidates for one query). Returns `[K * n_nodes, out_dim]` with plan
-    /// `p`'s postorder rows at `p * n_nodes ..`, or `None` when the trees are
-    /// not congruent (caller falls back to the scalar loop).
+    /// Tape-free [`Self::forward`] for every subtree interned in `cache`
+    /// that `memo` does not hold yet, appending their LSTM states to `memo`
+    /// (row = subtree id). Returns the number of rows computed.
     ///
-    /// Each tree position becomes ONE `rows = K` LSTM step instead of K
-    /// single-row steps, so the cell's GEMMs amortize weight traffic across
-    /// the whole batch. Row `p` is bitwise identical to the scalar path: the
-    /// matmul kernel guarantees per-row reduction order, and every other op
-    /// here (state pooling, gate math, input assembly) is row-independent.
+    /// Pending subtrees are scheduled by height: all pending subtrees of one
+    /// height run as ONE `rows = misses` LSTM step, after every child (which
+    /// is strictly lower) is in the memo. No shape congruence is needed, and
+    /// each row is bitwise identical to encoding that node inside its own
+    /// plan alone: the packed GEMM guarantees per-row reduction order, and
+    /// every other op here (state pooling, gate math, input assembly) is
+    /// row-independent and mirrors the tape's op sequence.
+    pub(crate) fn encode_subtrees(
+        &self,
+        store: &ParamStore,
+        cache: &PlanFeatCache,
+        memo: &mut SubtreeMemo,
+        sc: &mut ScratchArena,
+    ) -> usize {
+        let (start, end) = (memo.rows, cache.subtree_count());
+        if start >= end {
+            return 0;
+        }
+        let d = self.out_dim;
+        memo.dim = d;
+        memo.h.resize(end * d, 0.0);
+        memo.c.resize(end * d, 0.0);
+        let mut pending = std::mem::take(&mut memo.pending);
+        pending.clear();
+        pending.extend(start as u32..end as u32);
+        // Stable: ids of one height stay in first-seen order.
+        pending.sort_by_key(|&id| cache.subtree(id).height);
+        let input_dim = self.cell.input_dim;
+        let mid_cols = input_dim - d;
+        for level in pending.chunk_by(|&a, &b| cache.subtree(a).height == cache.subtree(b).height) {
+            let rows = level.len();
+            let mut input = sc.take(rows, input_dim);
+            let LstmStateBuf { h: mut hsum, c: mut csum } = self.cell.zero_state_buf(rows, sc);
+            for (r, &id) in level.iter().enumerate() {
+                let x = input.row_slice_mut(r);
+                cache.write_mid(id, &mut x[self.data_dim..self.data_dim + mid_cols]);
+                match cache.subtree(id).children {
+                    // Leaf: zero child-data slot and zero state, EXPLAIN
+                    // estimates in the estimate slot.
+                    None => x[self.data_dim + mid_cols..].copy_from_slice(cache.leaf_est(id)),
+                    // Join: mean child state; the pooled h doubles as the
+                    // child-data/estimate input.
+                    Some((l, rt)) => {
+                        mean_of_two(hsum.row_slice_mut(r), memo.h_row(l), memo.h_row(rt));
+                        mean_of_two(csum.row_slice_mut(r), memo.c_row(l), memo.c_row(rt));
+                        let pooled = hsum.row_slice(r);
+                        x[..self.data_dim].copy_from_slice(&pooled[..self.data_dim]);
+                        x[self.data_dim + mid_cols..].copy_from_slice(&pooled[self.data_dim..]);
+                    }
+                }
+            }
+            let state_in = LstmStateBuf { h: hsum, c: csum };
+            let out = self.cell.step_inference(store, &input, &state_in, sc);
+            sc.recycle(input);
+            state_in.recycle(sc);
+            for (r, &id) in level.iter().enumerate() {
+                let at = id as usize * d;
+                memo.h[at..at + d].copy_from_slice(out.h.row_slice(r));
+                memo.c[at..at + d].copy_from_slice(out.c.row_slice(r));
+            }
+            out.recycle(sc);
+        }
+        memo.pending = pending;
+        memo.rows = end;
+        end - start
+    }
+
+    /// Tape-free [`Self::forward`] over `K` **shape-congruent** featurized
+    /// plans (same tree structure and feature widths), computing every node:
+    /// the [`crate::evalbroker::EvalBroker`]'s fused pass, whose rows come
+    /// from different queries and so share no subtree memo. Returns
+    /// `[K * n_nodes, out_dim]` with plan `p`'s postorder rows at
+    /// `p * n_nodes ..`, or `None` when the trees are not congruent.
+    ///
+    /// Each tree position becomes ONE `rows = K` LSTM step. Row `p` is
+    /// bitwise identical to the subtree memo's row for the same
+    /// node: the matmul kernel guarantees per-row reduction order, and every
+    /// other op here (state pooling, gate math, input assembly) is
+    /// row-independent.
     pub fn forward_inference_batch(
         &self,
         store: &ParamStore,
@@ -314,7 +353,7 @@ impl PlanEncoder {
     }
 
     /// One tree position for all K plans at once: `nodes_at[p]` is plan `p`'s
-    /// node at this position. Mirrors [`Self::node_inference`] with `rows=K`.
+    /// node at this position.
     fn batch_node_inference(
         &self,
         store: &ParamStore,
@@ -378,6 +417,14 @@ impl PlanEncoder {
         }
         *pos += 1;
         out_state
+    }
+}
+
+/// `dst = (0 + a + b) / 2`: two child rows summed from zero in child order,
+/// then scaled — the tape's `stack_rows` + `mean_rows` op sequence.
+fn mean_of_two(dst: &mut [f32], a: &[f32], b: &[f32]) {
+    for ((o, x), y) in dst.iter_mut().zip(a).zip(b) {
+        *o = (0.0 + x + y) * 0.5;
     }
 }
 
@@ -543,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_plan_encoding_bitwise_equals_scalar() {
+    fn memoized_encoding_bitwise_equals_congruent_batch() {
         let (db, q, _) = setup();
         let cfg = ModelConfig::small();
         let mut store = ParamStore::new();
@@ -552,7 +599,8 @@ mod tests {
         let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
-        // Three congruent left-deep candidates: different join orders and ops.
+        // Three congruent left-deep candidates: different join orders and
+        // ops, sharing the (title, movie_info) hash-join prefix twice.
         let mk = |a: &str, b: &str, c: &str, op| {
             PlanNode::join(
                 &q,
@@ -566,14 +614,15 @@ mod tests {
                 PlanNode::scan(&q, c, ScanOp::SeqScan),
             )
         };
-        let feats: Vec<_> = [
+        let plans = [
             mk("title", "movie_info", "movie_keyword", JoinOp::HashJoin),
-            mk("movie_info", "title", "movie_keyword", JoinOp::NestedLoopJoin),
+            mk("title", "movie_info", "movie_keyword", JoinOp::NestedLoopJoin),
             mk("movie_keyword", "title", "movie_info", JoinOp::MergeJoin),
-        ]
-        .iter()
-        .map(|p| f.featurize(&mut sess, &q, p, None, &norm, "t").plan)
-        .collect();
+        ];
+        let plan_refs: Vec<&PlanNode> = plans.iter().collect();
+        let mut feats = Vec::new();
+        let mut fcache = PlanFeatCache::new(&q);
+        f.featurize_batch_into(&mut sess, &q, &plan_refs, &norm, &mut fcache, &mut feats);
         let refs: Vec<&FeatNode> = feats.iter().collect();
         let mut sc = ScratchArena::new();
         let batched = penc
@@ -581,18 +630,28 @@ mod tests {
             .expect("left-deep candidates are congruent");
         let n = feats[0].count();
         assert_eq!(batched.shape(), (3 * n, cfg.plan_node_out));
-        for (p, fp) in feats.iter().enumerate() {
-            let single = penc.forward_inference(&store, fp, &mut sc);
-            for r in 0..n {
-                assert_eq!(
-                    batched.row_slice(p * n + r),
-                    single.row_slice(r),
-                    "plan {p} node {r}: batched encoding is not bitwise equal"
-                );
-            }
-            sc.recycle(single);
+
+        let mut cache = PlanFeatCache::new(&q);
+        let mut ids = Vec::new();
+        for p in &plans {
+            assert!(f.intern_plan(&mut sess, &q, p, &norm, &mut cache, &mut ids));
         }
-        // Non-congruent input (different node count) falls back to None.
+        // 3 leaves + 1 shared join + 2 roots, then 2 more joins for the
+        // third order (its leaves are already interned).
+        assert_eq!(cache.subtree_count(), 3 + 1 + 2 + 2);
+        let mut memo = SubtreeMemo::default();
+        assert_eq!(penc.encode_subtrees(&store, &cache, &mut memo, &mut sc), 8);
+        assert_eq!(ids.len(), 3 * n, "post-order ids mirror the batched layout");
+        for (row, &id) in ids.iter().enumerate() {
+            assert_eq!(
+                memo.h_row(id),
+                batched.row_slice(row),
+                "node row {row}: memoized encoding is not bitwise equal"
+            );
+        }
+        assert_eq!(penc.encode_subtrees(&store, &cache, &mut memo, &mut sc), 0, "all memoized");
+
+        // Non-congruent input (different node count) has no congruent batch.
         let bushy = PlanNode::scan(&q, "title", ScanOp::SeqScan);
         let fb = f.featurize(&mut sess, &q, &bushy, None, &norm, "t").plan;
         assert!(penc.forward_inference_batch(&store, &[&feats[0], &fb], &mut sc).is_none());

@@ -79,8 +79,16 @@ pub struct FeaturizedQep {
 /// alias in `query.relations`). Leaf masks have exactly one bit and join
 /// masks at least two, so leaves and joins can never collide.
 ///
-/// Only exact for queries with at most 64 relations; callers fall back to
-/// [`Featurizer::featurize`] beyond that.
+/// The same keys make a whole subtree's plan-encoder input a function of
+/// its shape: a scan is determined by `(alias bit, scan op)`, a join by
+/// `(left subtree, right subtree, join op)`. `Featurizer::intern_plan`
+/// interns every subtree of a candidate under such a key and hands out a
+/// dense id in first-seen post-order, so the plan encoder can compute each
+/// distinct subtree once per query (see `encoder::SubtreeMemo`).
+///
+/// Only exact for queries with at most 64 relations, and for plans that
+/// scan each alias of the query at most once; callers fall back to
+/// [`Featurizer::featurize`] otherwise (see `PlanFeatCache::plan_mask`).
 pub struct PlanFeatCache {
     sql: String,
     /// alias → bit index, in `query.relations` order.
@@ -91,6 +99,30 @@ pub struct PlanFeatCache {
     mid_prefix: HashMap<u64, Vec<f32>, FnvBuild>,
     /// `(alias bit, scan-op one-hot index)` → normalized, scaled estimates.
     leaf_est: HashMap<(u32, usize), Tensor, FnvBuild>,
+    /// Subtree key → interned id (an index into `subtrees`).
+    subtree_ids: HashMap<SubtreeKey, u32, FnvBuild>,
+    subtrees: Vec<Subtree>,
+}
+
+/// Interning key of a plan subtree: everything its encoder input depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum SubtreeKey {
+    Scan { bit: u32, op: u8 },
+    Join { left: u32, right: u32, op: u8 },
+}
+
+/// One interned subtree, as the plan encoder needs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Subtree {
+    /// 0 for a scan, one more than the taller child for a join: every
+    /// subtree of one height can be encoded in the same LSTM step.
+    pub(crate) height: u32,
+    /// Child subtree ids `(left, right)` of a join; `None` for a scan.
+    pub(crate) children: Option<(u32, u32)>,
+    /// Alias bitmask of the subtree (the `mid_prefix` key).
+    mask: u64,
+    /// Operator one-hot index.
+    op: u8,
 }
 
 impl PlanFeatCache {
@@ -107,12 +139,72 @@ impl PlanFeatCache {
             aliases,
             mid_prefix: HashMap::default(),
             leaf_est: HashMap::default(),
+            subtree_ids: HashMap::default(),
+            subtrees: Vec::new(),
         }
     }
 
     /// Whether the bitmask representation is exact for `query`.
     pub fn supports(query: &Query) -> bool {
         query.relations.len() <= 64
+    }
+
+    /// Alias bitmask of `plan`, or `None` when the plan scans an alias the
+    /// query does not bind, or scans one alias twice. Such a plan has no
+    /// exact bitmask featurization — a foreign alias would alias some
+    /// relation's bit — so it must take the tape path.
+    pub(crate) fn plan_mask(&self, plan: &PlanNode) -> Option<u64> {
+        match plan {
+            PlanNode::Scan { alias, .. } => self.alias_bits.get(alias).map(|&b| 1u64 << b),
+            PlanNode::Join { left, right, .. } => {
+                let (l, r) = (self.plan_mask(left)?, self.plan_mask(right)?);
+                (l & r == 0).then_some(l | r)
+            }
+        }
+    }
+
+    /// Number of interned subtrees (ids are `0..subtree_count()`).
+    pub(crate) fn subtree_count(&self) -> usize {
+        self.subtrees.len()
+    }
+
+    /// The interned subtree `id`.
+    pub(crate) fn subtree(&self, id: u32) -> &Subtree {
+        &self.subtrees[id as usize]
+    }
+
+    /// Forget every interned subtree (the featurization caches stay warm).
+    pub(crate) fn clear_subtrees(&mut self) {
+        self.subtree_ids.clear();
+        self.subtrees.clear();
+    }
+
+    /// Write subtree `id`'s constant input segment — `[rel one-hot sum ‖
+    /// TaBERT repr ‖ op one-hot]`, the `mid` of its [`FeatNode`] — into
+    /// `out`, which must be zeroed.
+    pub(crate) fn write_mid(&self, id: u32, out: &mut [f32]) {
+        let s = &self.subtrees[id as usize];
+        let prefix = &self.mid_prefix[&s.mask];
+        out[..prefix.len()].copy_from_slice(prefix);
+        out[prefix.len() + s.op as usize] = 1.0;
+    }
+
+    /// The [`FeatNode`] tree of subtree `id`.
+    fn feat_node(&self, id: u32) -> FeatNode {
+        let s = self.subtrees[id as usize];
+        let mut mid = vec![0.0; self.mid_prefix[&s.mask].len() + PhysicalOp::COUNT];
+        self.write_mid(id, &mut mid);
+        let (leaf_est, children) = match s.children {
+            None => (Some(Tensor::row(self.leaf_est(id).to_vec())), Vec::new()),
+            Some((l, r)) => (None, vec![self.feat_node(l), self.feat_node(r)]),
+        };
+        FeatNode { mid: Tensor::row(mid), leaf_est, truth: None, children }
+    }
+
+    /// The normalized EXPLAIN estimates of scan subtree `id`.
+    pub(crate) fn leaf_est(&self, id: u32) -> &[f32] {
+        let s = &self.subtrees[id as usize];
+        self.leaf_est[&(s.mask.trailing_zeros(), s.op as usize)].data()
     }
 }
 
@@ -329,29 +421,16 @@ impl Featurizer {
         repr
     }
 
-    /// Featurize one candidate plan of `query` through a [`PlanFeatCache`],
-    /// reusing the `[rel ‖ TaBERT]` prefixes and leaf estimates computed for
-    /// earlier candidates of the same query. Produces a [`FeatNode`] tree
+    /// Featurize a batch of candidate plans of one query into `out`
+    /// (cleared first) through the [`PlanFeatCache`]: each plan's subtrees
+    /// are interned (warming the prefix and estimate caches on first sight)
+    /// and its [`FeatNode`] tree is assembled from them. Each tree is
     /// numerically identical to [`Featurizer::featurize`]'s (with no truth
     /// labels — this is an inference-only path).
-    pub fn featurize_plan_fast(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plan: &PlanNode,
-        norm: &TargetNormalizer,
-        cache: &mut PlanFeatCache,
-    ) -> FeatNode {
-        debug_assert!(PlanFeatCache::supports(query), "fall back to featurize() beyond 64 rels");
-        self.fast_node(sess, query, plan, norm, cache).0
-    }
-
-    /// Featurize a batch of candidate plans of one query into `out`
-    /// (cleared first), sharing the [`PlanFeatCache`] across all of them.
-    /// After the first candidate warms the cache, each additional plan costs
-    /// only prefix lookups + op one-hot assembly — the per-plan trees are
-    /// exactly what K [`Self::featurize_plan_fast`] calls would produce, so
-    /// batched scoring stays bitwise equal to scalar scoring.
+    ///
+    /// # Panics
+    /// When a plan scans an alias the query does not bind, or one alias
+    /// twice.
     pub fn featurize_batch_into(
         &self,
         sess: &mut FeatSession,
@@ -363,106 +442,150 @@ impl Featurizer {
     ) {
         out.clear();
         out.reserve(plans.len());
+        let mut ids = Vec::new();
         for plan in plans {
-            out.push(self.featurize_plan_fast(sess, query, plan, norm, cache));
+            ids.clear();
+            let bound = self.intern_plan(sess, query, plan, norm, cache, &mut ids);
+            assert!(bound, "plan scans an alias the query does not bind exactly once");
+            out.push(cache.feat_node(*ids.last().expect("a plan has a root")));
         }
     }
 
-    fn fast_node(
+    /// Intern every subtree of `plan` in `cache` (see [`PlanFeatCache`]),
+    /// warming the prefix and estimate caches for subtrees not seen before,
+    /// and append the plan's subtree ids to `ids` in post-order. Returns
+    /// `false`, touching nothing, when the plan has no
+    /// [`PlanFeatCache::plan_mask`].
+    pub(crate) fn intern_plan(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        plan: &PlanNode,
+        norm: &TargetNormalizer,
+        cache: &mut PlanFeatCache,
+        ids: &mut Vec<u32>,
+    ) -> bool {
+        debug_assert!(PlanFeatCache::supports(query), "fall back to featurize() beyond 64 rels");
+        if cache.plan_mask(plan).is_none() {
+            return false;
+        }
+        self.intern_node(sess, query, plan, norm, cache, ids);
+        true
+    }
+
+    fn intern_node(
         &self,
         sess: &mut FeatSession,
         query: &Query,
         node: &PlanNode,
         norm: &TargetNormalizer,
         cache: &mut PlanFeatCache,
-    ) -> (FeatNode, u64) {
-        let n_tables = self.db.catalog.num_tables().max(1);
-        match node {
-            PlanNode::Scan { alias, table, filters, .. } => {
-                let bit = cache.alias_bits.get(alias).copied().unwrap_or(0);
-                let mask = 1u64 << (bit as u64 % 64);
-                if !cache.mid_prefix.contains_key(&mask) {
-                    let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
-                    prefix.resize(n_tables, 0.0);
-                    if let Some(idx) = self.db.catalog.table_idx(table) {
-                        prefix[idx] += 1.0;
-                    }
-                    let repr = match filters.first() {
-                        Some(f) => self.filtered_column_repr(sess, table, f),
-                        None => self.tabert.encode_table_cls(
-                            &mut sess.tabert,
-                            &self.db,
-                            table,
-                            &cache.sql,
-                        ),
-                    };
-                    prefix.extend_from_slice(&repr);
-                    cache.mid_prefix.insert(mask, prefix);
-                }
-                let op_idx = node.physical_op().one_hot_index();
-                let est = cache
-                    .leaf_est
-                    .entry((bit, op_idx))
-                    .or_insert_with(|| {
-                        // Scan estimates are context-independent, so the
-                        // single-node plan yields the same NodeEstimate the
-                        // full-plan EXPLAIN would.
-                        let e = self.explain().explain(query, node)[0];
-                        let enc = norm.encode([e.rows, e.cost, e.time_ms]);
-                        Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect())
-                    })
-                    .clone();
-                let mid = self.finish_mid(&cache.mid_prefix[&mask], op_idx);
-                (FeatNode { mid, leaf_est: Some(est), truth: None, children: Vec::new() }, mask)
+        ids: &mut Vec<u32>,
+    ) -> u32 {
+        let op = node.physical_op().one_hot_index() as u8;
+        let (key, mask, height, children) = match node {
+            PlanNode::Scan { alias, .. } => {
+                let bit = cache.alias_bits[alias];
+                (SubtreeKey::Scan { bit, op }, 1u64 << bit, 0, None)
             }
             PlanNode::Join { left, right, .. } => {
-                let (lf, lm) = self.fast_node(sess, query, left, norm, cache);
-                let (rf, rm) = self.fast_node(sess, query, right, norm, cache);
-                let mask = lm | rm;
-                if !cache.mid_prefix.contains_key(&mask) {
-                    // Aliases in sorted order, matching PlanNode::aliases()'
-                    // BTreeSet iteration so float accumulation is identical.
-                    let mut aliases: Vec<&str> = (0..64)
-                        .filter(|b| mask & (1u64 << b) != 0)
-                        .filter_map(|b| cache.aliases.get(b as usize).map(String::as_str))
-                        .collect();
-                    aliases.sort_unstable();
-                    let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
-                    prefix.resize(n_tables, 0.0);
-                    let mut acc = vec![0.0f32; self.tabert.dim()];
-                    for alias in &aliases {
-                        let table = query.table_of(alias).unwrap_or(alias);
-                        if let Some(idx) = self.db.catalog.table_idx(table) {
-                            prefix[idx] += 1.0;
-                        }
-                        let cls = self.tabert.encode_table_cls(
-                            &mut sess.tabert,
-                            &self.db,
-                            table,
-                            &cache.sql,
-                        );
-                        for (a, c) in acc.iter_mut().zip(&cls) {
-                            *a += c / aliases.len() as f32;
-                        }
-                    }
-                    prefix.extend_from_slice(&acc);
-                    cache.mid_prefix.insert(mask, prefix);
-                }
-                let op_idx = node.physical_op().one_hot_index();
-                let mid = self.finish_mid(&cache.mid_prefix[&mask], op_idx);
-                (FeatNode { mid, leaf_est: None, truth: None, children: vec![lf, rf] }, mask)
+                let l = self.intern_node(sess, query, left, norm, cache, ids);
+                let r = self.intern_node(sess, query, right, norm, cache, ids);
+                let (ls, rs) = (cache.subtrees[l as usize], cache.subtrees[r as usize]);
+                let key = SubtreeKey::Join { left: l, right: r, op };
+                (key, ls.mask | rs.mask, 1 + ls.height.max(rs.height), Some((l, r)))
             }
-        }
+        };
+        let id = match cache.subtree_ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                match node {
+                    PlanNode::Scan { .. } => self.scan_features(sess, query, node, norm, cache),
+                    PlanNode::Join { .. } => self.join_prefix(sess, query, mask, cache),
+                }
+                let id = cache.subtrees.len() as u32;
+                cache.subtrees.push(Subtree { height, children, mask, op });
+                cache.subtree_ids.insert(key, id);
+                id
+            }
+        };
+        ids.push(id);
+        id
     }
 
-    /// Append the operator one-hot to a cached `[rel ‖ TaBERT]` prefix.
-    fn finish_mid(&self, prefix: &[f32], op_idx: usize) -> Tensor {
-        let mut mid = Vec::with_capacity(prefix.len() + PhysicalOp::COUNT);
-        mid.extend_from_slice(prefix);
-        let start = mid.len();
-        mid.resize(start + PhysicalOp::COUNT, 0.0);
-        mid[start + op_idx] = 1.0;
-        Tensor::row(mid)
+    /// Ensure the `[rel ‖ TaBERT]` prefix and the normalized, scaled
+    /// EXPLAIN estimate of scan `node` are cached.
+    fn scan_features(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        node: &PlanNode,
+        norm: &TargetNormalizer,
+        cache: &mut PlanFeatCache,
+    ) {
+        let PlanNode::Scan { alias, table, filters, .. } = node else {
+            unreachable!("scan_features on a join");
+        };
+        let bit = cache.alias_bits[alias];
+        if let std::collections::hash_map::Entry::Vacant(slot) = cache.mid_prefix.entry(1 << bit) {
+            let n_tables = self.db.catalog.num_tables().max(1);
+            let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
+            prefix.resize(n_tables, 0.0);
+            if let Some(idx) = self.db.catalog.table_idx(table) {
+                prefix[idx] += 1.0;
+            }
+            let repr = match filters.first() {
+                Some(f) => self.filtered_column_repr(sess, table, f),
+                None => self.tabert.encode_table_cls(&mut sess.tabert, &self.db, table, &cache.sql),
+            };
+            prefix.extend_from_slice(&repr);
+            slot.insert(prefix);
+        }
+        let op_idx = node.physical_op().one_hot_index();
+        cache.leaf_est.entry((bit, op_idx)).or_insert_with(|| {
+            // Scan estimates are context-independent, so the single-node
+            // plan yields the same NodeEstimate the full-plan EXPLAIN would.
+            let e = self.explain().explain(query, node)[0];
+            let enc = norm.encode([e.rows, e.cost, e.time_ms]);
+            Tensor::row(enc.iter().map(|v| v * ESTIMATE_SCALE).collect())
+        });
+    }
+
+    /// Ensure the `[rel ‖ TaBERT]` prefix of a join over alias set `mask`
+    /// is cached.
+    fn join_prefix(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        mask: u64,
+        cache: &mut PlanFeatCache,
+    ) {
+        if cache.mid_prefix.contains_key(&mask) {
+            return;
+        }
+        // Aliases in sorted order, matching PlanNode::aliases()' BTreeSet
+        // iteration so float accumulation is identical.
+        let mut aliases: Vec<&str> = (0..64)
+            .filter(|b| mask & (1u64 << b) != 0)
+            .filter_map(|b| cache.aliases.get(b as usize).map(String::as_str))
+            .collect();
+        aliases.sort_unstable();
+        let n_tables = self.db.catalog.num_tables().max(1);
+        let mut prefix = Vec::with_capacity(n_tables + self.tabert.dim());
+        prefix.resize(n_tables, 0.0);
+        let mut acc = vec![0.0f32; self.tabert.dim()];
+        for alias in &aliases {
+            let table = query.table_of(alias).unwrap_or(alias);
+            if let Some(idx) = self.db.catalog.table_idx(table) {
+                prefix[idx] += 1.0;
+            }
+            let cls = self.tabert.encode_table_cls(&mut sess.tabert, &self.db, table, &cache.sql);
+            for (a, c) in acc.iter_mut().zip(&cls) {
+                *a += c / aliases.len() as f32;
+            }
+        }
+        prefix.extend_from_slice(&acc);
+        cache.mid_prefix.insert(mask, prefix);
     }
 }
 

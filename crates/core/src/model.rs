@@ -3,7 +3,7 @@
 
 use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
-use crate::encoder::{PlanEncoder, QueryEncoder};
+use crate::encoder::{PlanEncoder, QueryEncoder, SubtreeMemo};
 use crate::error::CoreError;
 use crate::evalbroker::{shape_sig, BrokerMember, BucketKey, FusedOutcome, Submission};
 use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
@@ -543,8 +543,9 @@ impl QPSeeker {
 
     /// Build the per-query state for [`Self::predict_with_context`]. The
     /// query encoder runs once here; each candidate plan then only pays for
-    /// the plan encoder, attention, and VAE head — the MCTS hot loop builds
-    /// one context per search and scores every rollout through it.
+    /// the subtrees no earlier candidate had, attention, and the VAE head —
+    /// the MCTS hot loop builds one context per search and scores every
+    /// rollout through it.
     pub fn query_context(&self, query: &Query) -> QueryContext {
         let fast = self.config.fast_inference && PlanFeatCache::supports(query);
         let qemb = if fast {
@@ -558,7 +559,18 @@ impl QPSeeker {
         } else {
             Tensor::zeros(1, 1)
         };
-        QueryContext { qemb, plan_cache: PlanFeatCache::new(query), fast, feat_batch: Vec::new() }
+        QueryContext {
+            qemb,
+            plan_cache: PlanFeatCache::new(query),
+            fast,
+            feat_batch: Vec::new(),
+            memo: SubtreeMemo::default(),
+            ids: Vec::new(),
+            spans: Vec::new(),
+            served: Vec::new(),
+            lstm_rows: 0,
+            node_positions: 0,
+        }
     }
 
     /// [`Self::predict`] through a reusable [`QueryContext`]. With the fast
@@ -575,7 +587,8 @@ impl QPSeeker {
     }
 
     /// [`Self::predict_with_context`] with caller-owned featurization
-    /// caches — the lock-free serving hot path.
+    /// caches — the lock-free serving hot path. A batch of one through
+    /// [`Self::predict_batch_with_context_in`].
     pub fn predict_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -583,43 +596,15 @@ impl QPSeeker {
         plan: &PlanNode,
         ctx: &mut QueryContext,
     ) -> Prediction {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        if !ctx.fast {
-            let fq = self.feat.featurize(sess, query, plan, None, norm, "");
-            let (preds, _mu) = self.forward_tape(&fq);
-            let raw = norm.decode(preds);
-            return Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] };
-        }
-        let fplan = self.feat.featurize_plan_fast(sess, query, plan, norm, &mut ctx.plan_cache);
-        let preds = with_thread_scratch(|sc| {
-            let nodes = self.plan_enc.forward_inference(&self.store, &fplan, sc);
-            let joint = if fplan.count() > 1 && self.config.use_attention {
-                let j = self.attn.forward_inference(&self.store, &ctx.qemb, &nodes, sc, None);
-                sc.recycle(nodes);
-                j
-            } else {
-                let qd = ctx.qemb.cols();
-                let mut j = sc.take(1, qd + self.plan_enc.out_dim());
-                j.data_mut()[..qd].copy_from_slice(ctx.qemb.data());
-                j.data_mut()[qd..].copy_from_slice(nodes.row_slice(nodes.rows() - 1));
-                sc.recycle(nodes);
-                j
-            };
-            let (p, _mu) = self.vae.forward_inference(&self.store, &joint, sc);
-            sc.recycle(joint);
-            let out = [p.get(0, 0), p.get(0, 1), p.get(0, 2)];
-            sc.recycle(p);
-            out
-        });
-        let raw = norm.decode(preds);
-        Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+        let mut out = Vec::with_capacity(1);
+        self.predict_batch_with_context_in(sess, query, &[plan], ctx, &mut out);
+        out[0]
     }
 
     /// Score a batch of candidate plans of one query in **one batched
-    /// forward pass**: one `[K·n, d]` plan-encoder run (each tree position a
-    /// `rows = K` LSTM step), one batched attention pass, one `[K, d]` VAE
-    /// pass. Convenience wrapper over
-    /// [`Self::predict_batch_with_context_in`] using the fallback session.
+    /// forward pass**. Convenience wrapper over
+    /// [`Self::predict_batch_with_context_in`] using the fallback session
+    /// and a fresh [`QueryContext`].
     pub fn predict_batch(&self, query: &Query, plans: &[&PlanNode]) -> Vec<Prediction> {
         let mut sess = self.lock_fallback_session();
         let mut ctx = self.query_context(query);
@@ -631,14 +616,17 @@ impl QPSeeker {
     /// Batched [`Self::predict_with_context_in`]: fills `out` (cleared
     /// first) with one [`Prediction`] per plan, in order.
     ///
-    /// `out[p]` is **bitwise identical** to
-    /// `self.predict_with_context_in(sess, query, plans[p], ctx)` — every
-    /// batched layer preserves per-row reduction order (see
-    /// `qpseeker_nn::tensor::matmul_kernel`'s FP-order contract), so MCTS
-    /// can defer rollouts into batches without changing any plan choice a
-    /// scalar-scoring search would make on the same predictions. Falls back
-    /// to the scalar loop when the fast path is off, `K == 1`, or the plans
-    /// are not shape-congruent.
+    /// On the fast path every subtree of the batch that no earlier call on
+    /// `ctx` encoded runs through the LSTM — one step per subtree height —
+    /// followed by one batched attention pass and one `[K, d]` VAE pass.
+    /// `out[p]` is **bitwise identical** to scoring `plans[p]` alone on a
+    /// fresh context: every layer preserves per-row reduction order (see
+    /// `qpseeker_nn::tensor::matmul_kernel`'s FP-order contract), so neither
+    /// the batch composition nor the memo's contents can change a value, and
+    /// MCTS can defer rollouts into batches without changing any plan
+    /// choice. Plans the fast path cannot featurize exactly — fast path off,
+    /// or a plan that scans an alias the query does not bind, or one alias
+    /// twice — are scored through the tape.
     pub fn predict_batch_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -648,70 +636,23 @@ impl QPSeeker {
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        if !ctx.fast || plans.len() == 1 {
-            for p in plans {
-                out.push(self.predict_with_context_in(sess, query, p, ctx));
-            }
-            return;
-        }
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut feat_batch = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(
-            sess,
-            query,
-            plans,
-            norm,
-            &mut ctx.plan_cache,
-            &mut feat_batch,
-        );
-        let refs: Vec<&FeatNode> = feat_batch.iter().collect();
-        let kn = plans.len();
-        let batched = with_thread_scratch(|sc| -> bool {
-            let Some(nodes_all) = self.plan_enc.forward_inference_batch(&self.store, &refs, sc)
-            else {
-                return false;
-            };
-            let n_nodes = refs[0].count();
-            let qd = ctx.qemb.cols();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
+        let kn = self.intern_batch(sess, query, plans, norm, ctx);
+        if kn > 0 {
+            with_thread_scratch(|sc| {
+                let joint = self.encode_joint_memo(ctx, sc);
+                let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
+                sc.recycle(joint);
                 for r in 0..kn {
-                    qb.row_slice_mut(r).copy_from_slice(ctx.qemb.data());
+                    out.push(decode(norm, [p.get(r, 0), p.get(r, 1), p.get(r, 2)]));
                 }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
-                sc.recycle(qb);
-                sc.recycle(nodes_all);
-                j
-            } else {
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for r in 0..kn {
-                    let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(ctx.qemb.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
-                }
-                sc.recycle(nodes_all);
-                j
-            };
-            let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
-            sc.recycle(joint);
-            for r in 0..kn {
-                let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                out.push(Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] });
-            }
-            sc.recycle(p);
-            true
-        });
-        ctx.feat_batch = feat_batch;
-        if !batched {
-            // Non-congruent trees (never the case for left-deep MCTS
-            // candidates): score one at a time.
-            for p in plans {
-                out.push(self.predict_with_context_in(sess, query, p, ctx));
-            }
+                sc.recycle(p);
+            });
+        }
+        if kn < plans.len() {
+            merge_tape(out, plans, &ctx.served, |plan| {
+                self.predict_tape_in(sess, query, plan, norm)
+            });
         }
     }
 
@@ -726,9 +667,7 @@ impl QPSeeker {
     /// Runtime mean and population standard deviation of one plan over the
     /// latent draws `eps` (`[S, latent]`): the §5 latent distribution,
     /// actually sampled at serving time instead of collapsed to `eps = 0`.
-    /// Samples decode in ascending row order and accumulate in `f64`, and
-    /// the sampled VAE pass is row-wise bitwise equal at any batch size, so
-    /// the returned pair is bitwise reproducible.
+    /// A batch of one through [`Self::predict_risk_batch_with_context_in`].
     pub fn predict_risk_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -737,58 +676,17 @@ impl QPSeeker {
         ctx: &mut QueryContext,
         eps: &Tensor,
     ) -> (f64, f64) {
-        let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let s = eps.rows();
-        assert!(s > 0, "risk scoring needs at least one latent sample");
-        if !ctx.fast {
-            // Tape path: featurize once, one forward per sample with the
-            // explicit noise row (the training-path reparameterization).
-            let fq = self.feat.featurize(sess, query, plan, None, norm, "");
-            let mut times = Vec::with_capacity(s);
-            for i in 0..s {
-                let mut g = Graph::new();
-                let (joint, _aux) = self.encode_joint(&mut g, &fq);
-                let out = self.vae.forward(&mut g, &self.store, joint, eps_row(eps, i));
-                let p = g.value(out.predictions);
-                let raw = norm.decode([p.get(0, 0), p.get(0, 1), p.get(0, 2)]);
-                times.push(raw[2]);
-            }
-            return mean_sigma(&times);
-        }
-        let fplan = self.feat.featurize_plan_fast(sess, query, plan, norm, &mut ctx.plan_cache);
-        let times = with_thread_scratch(|sc| {
-            let nodes = self.plan_enc.forward_inference(&self.store, &fplan, sc);
-            let joint = if fplan.count() > 1 && self.config.use_attention {
-                let j = self.attn.forward_inference(&self.store, &ctx.qemb, &nodes, sc, None);
-                sc.recycle(nodes);
-                j
-            } else {
-                let qd = ctx.qemb.cols();
-                let mut j = sc.take(1, qd + self.plan_enc.out_dim());
-                j.data_mut()[..qd].copy_from_slice(ctx.qemb.data());
-                j.data_mut()[qd..].copy_from_slice(nodes.row_slice(nodes.rows() - 1));
-                sc.recycle(nodes);
-                j
-            };
-            let p = self.vae.forward_inference_sampled(&self.store, &joint, eps, sc);
-            sc.recycle(joint);
-            let mut times = Vec::with_capacity(s);
-            for i in 0..s {
-                let raw = norm.decode([p.get(i, 0), p.get(i, 1), p.get(i, 2)]);
-                times.push(raw[2]);
-            }
-            sc.recycle(p);
-            times
-        });
-        mean_sigma(&times)
+        let mut out = Vec::with_capacity(1);
+        self.predict_risk_batch_with_context_in(sess, query, &[plan], ctx, eps, &mut out);
+        out[0]
     }
 
     /// Batched [`Self::predict_risk_with_context_in`]: fills `out` (cleared
-    /// first) with one `(mean, sigma)` per plan, in order. Each pair is
-    /// bitwise identical to the scalar call on the same plan — the sampled
-    /// VAE pass shares the batched layers' per-row FP-order contract. Falls
-    /// back to the scalar loop when the fast path is off, `K == 1`, or the
-    /// plans are not shape-congruent.
+    /// first) with one `(mean, sigma)` per plan, in order, through the same
+    /// memoized encoder as [`Self::predict_batch_with_context_in`]. Samples
+    /// decode in ascending row order and accumulate in `f64`, and the
+    /// sampled VAE pass shares the batched layers' per-row FP-order
+    /// contract, so each pair is bitwise reproducible at any batch size.
     pub fn predict_risk_batch_with_context_in(
         &self,
         sess: &mut FeatSession,
@@ -799,79 +697,151 @@ impl QPSeeker {
         out: &mut Vec<(f64, f64)>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        if !ctx.fast || plans.len() == 1 {
-            for p in plans {
-                out.push(self.predict_risk_with_context_in(sess, query, p, ctx, eps));
-            }
-            return;
-        }
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         let s = eps.rows();
         assert!(s > 0, "risk scoring needs at least one latent sample");
-        let mut feat_batch = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(
-            sess,
-            query,
-            plans,
-            norm,
-            &mut ctx.plan_cache,
-            &mut feat_batch,
-        );
-        let refs: Vec<&FeatNode> = feat_batch.iter().collect();
-        let kn = plans.len();
-        let batched = with_thread_scratch(|sc| -> bool {
-            let Some(nodes_all) = self.plan_enc.forward_inference_batch(&self.store, &refs, sc)
-            else {
-                return false;
-            };
-            let n_nodes = refs[0].count();
-            let qd = ctx.qemb.cols();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
-                for r in 0..kn {
+        let kn = self.intern_batch(sess, query, plans, norm, ctx);
+        if kn > 0 {
+            with_thread_scratch(|sc| {
+                let joint = self.encode_joint_memo(ctx, sc);
+                // Sample-major `[S*K, 3]`: candidate k's sample si is row
+                // `si*K + k`.
+                let p = self.vae.forward_inference_sampled(&self.store, &joint, eps, sc);
+                sc.recycle(joint);
+                let mut times = Vec::with_capacity(s);
+                for k in 0..kn {
+                    times.clear();
+                    for si in 0..s {
+                        let r = si * kn + k;
+                        times.push(norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)])[2]);
+                    }
+                    out.push(mean_sigma(&times));
+                }
+                sc.recycle(p);
+            });
+        }
+        if kn < plans.len() {
+            merge_tape(out, plans, &ctx.served, |plan| {
+                self.risk_tape_in(sess, query, plan, norm, eps)
+            });
+        }
+    }
+
+    /// Intern the subtrees of every plan the fast path serves into `ctx`,
+    /// recording their post-order ids (`ctx.ids`), node counts
+    /// (`ctx.spans`) and which plans were served (`ctx.served`). Returns the
+    /// number of served plans.
+    fn intern_batch(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        plans: &[&PlanNode],
+        norm: &TargetNormalizer,
+        ctx: &mut QueryContext,
+    ) -> usize {
+        ctx.ids.clear();
+        ctx.spans.clear();
+        ctx.served.clear();
+        for plan in plans {
+            let before = ctx.ids.len();
+            let served = ctx.fast
+                && self.feat.intern_plan(
+                    sess,
+                    query,
+                    plan,
+                    norm,
+                    &mut ctx.plan_cache,
+                    &mut ctx.ids,
+                );
+            if served {
+                ctx.spans.push(ctx.ids.len() - before);
+            }
+            ctx.served.push(served);
+        }
+        ctx.spans.len()
+    }
+
+    /// The fast-path plan encoder shared by scalar, batched and risk
+    /// scoring: encode the subtrees [`Self::intern_batch`] interned that
+    /// the memo lacks, gather each served plan's post-order node rows, and
+    /// return the `[K, joint_dim]` joint embeddings (QPAttention output; the
+    /// concatenation fallback for single-node plans). Plans run through
+    /// attention in runs of equal node count; the per-row contract makes
+    /// the grouping invisible.
+    fn encode_joint_memo(&self, ctx: &mut QueryContext, sc: &mut ScratchArena) -> Tensor {
+        ctx.lstm_rows +=
+            self.plan_enc.encode_subtrees(&self.store, &ctx.plan_cache, &mut ctx.memo, sc);
+        ctx.node_positions += ctx.ids.len();
+        let (kn, qd, od) = (ctx.spans.len(), ctx.qemb.cols(), self.plan_enc.out_dim());
+        let mut joint = sc.take(kn, self.config.joint_dim());
+        let (mut p, mut at) = (0, 0);
+        while p < kn {
+            let n = ctx.spans[p];
+            let run = ctx.spans[p..].iter().take_while(|&&m| m == n).count();
+            let ids = &ctx.ids[at..at + run * n];
+            if n > 1 && self.config.use_attention {
+                let mut qb = sc.take(run, qd);
+                for r in 0..run {
                     qb.row_slice_mut(r).copy_from_slice(ctx.qemb.data());
                 }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
+                let mut kv = sc.take(run * n, od);
+                for (r, &id) in ids.iter().enumerate() {
+                    kv.row_slice_mut(r).copy_from_slice(ctx.memo.h_row(id));
+                }
+                let j = self.attn.forward_inference_batch(&self.store, &qb, &kv, n, sc);
+                for r in 0..run {
+                    joint.row_slice_mut(p + r).copy_from_slice(j.row_slice(r));
+                }
                 sc.recycle(qb);
-                sc.recycle(nodes_all);
-                j
+                sc.recycle(kv);
+                sc.recycle(j);
             } else {
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for r in 0..kn {
-                    let row = j.row_slice_mut(r);
+                for r in 0..run {
+                    let row = joint.row_slice_mut(p + r);
                     row[..qd].copy_from_slice(ctx.qemb.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
+                    row[qd..].copy_from_slice(ctx.memo.h_row(ids[(r + 1) * n - 1]));
                 }
-                sc.recycle(nodes_all);
-                j
-            };
-            // Sample-major `[S*K, 3]`: candidate k's sample si is row
-            // `si*K + k`.
-            let p = self.vae.forward_inference_sampled(&self.store, &joint, eps, sc);
-            sc.recycle(joint);
-            let mut times = Vec::with_capacity(s);
-            for k in 0..kn {
-                times.clear();
-                for si in 0..s {
-                    let r = si * kn + k;
-                    let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                    times.push(raw[2]);
-                }
-                out.push(mean_sigma(&times));
             }
-            sc.recycle(p);
-            true
-        });
-        ctx.feat_batch = feat_batch;
-        if !batched {
-            for p in plans {
-                out.push(self.predict_risk_with_context_in(sess, query, p, ctx, eps));
-            }
+            p += run;
+            at += run * n;
         }
+        joint
+    }
+
+    /// One plan through the autodiff tape with zero latent noise.
+    fn predict_tape_in(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        plan: &PlanNode,
+        norm: &TargetNormalizer,
+    ) -> Prediction {
+        let fq = self.feat.featurize(sess, query, plan, None, norm, "");
+        let (preds, _mu) = self.forward_tape(&fq);
+        decode(norm, preds)
+    }
+
+    /// One plan's runtime mean and sigma over `eps` through the tape:
+    /// featurize once, one forward per sample with the explicit noise row
+    /// (the training-path reparameterization).
+    fn risk_tape_in(
+        &self,
+        sess: &mut FeatSession,
+        query: &Query,
+        plan: &PlanNode,
+        norm: &TargetNormalizer,
+        eps: &Tensor,
+    ) -> (f64, f64) {
+        let fq = self.feat.featurize(sess, query, plan, None, norm, "");
+        let mut times = Vec::with_capacity(eps.rows());
+        for i in 0..eps.rows() {
+            let mut g = Graph::new();
+            let (joint, _aux) = self.encode_joint(&mut g, &fq);
+            let out = self.vae.forward(&mut g, &self.store, joint, eps_row(eps, i));
+            let p = g.value(out.predictions);
+            times.push(norm.decode([p.get(0, 0), p.get(0, 1), p.get(0, 2)])[2]);
+        }
+        mean_sigma(&times)
     }
 
     /// Pack one candidate batch into an [`EvalBroker`](crate::evalbroker::EvalBroker)
@@ -895,6 +865,11 @@ impl QPSeeker {
             return;
         }
         debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
+        if !ctx.binds_all(plans) {
+            // Plans the fast featurizer cannot represent take the tape; the
+            // local path routes them, and values are identical either way.
+            return self.predict_batch_with_context_in(sess, query, plans, ctx, out);
+        }
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
         let mut nodes = std::mem::take(&mut ctx.feat_batch);
         self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
@@ -933,6 +908,9 @@ impl QPSeeker {
             return;
         }
         debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
+        if !ctx.binds_all(plans) {
+            return self.predict_risk_batch_with_context_in(sess, query, plans, ctx, eps, out);
+        }
         let s = eps.rows();
         assert!(s > 0, "risk scoring needs at least one latent sample");
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
@@ -1014,10 +992,11 @@ impl QPSeeker {
         (outcomes, forwards)
     }
 
-    /// One fused forward over a congruent row group, mirroring
-    /// [`Self::predict_batch_with_context_in`]'s batched body with a
-    /// *per-row* query embedding (and, under risk scoring, a per-row eps
-    /// block) so rows from different queries share the pass.
+    /// One fused forward over a congruent row group: the attention and VAE
+    /// passes of [`Self::predict_batch_with_context_in`] with a *per-row*
+    /// query embedding (and, under risk scoring, a per-row eps block) so
+    /// rows from different queries share the pass. Rows of different
+    /// queries share no subtree memo, so every node is encoded here.
     fn fused_forward_group(
         &self,
         rows: &[(&FeatNode, &Tensor, Option<&Tensor>)],
@@ -1060,9 +1039,7 @@ impl QPSeeker {
                 let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
                 sc.recycle(joint);
                 for (r, &i) in idxs.iter().enumerate() {
-                    let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                    mean_out[i] =
-                        Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] };
+                    mean_out[i] = decode(norm, [p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
                 }
                 sc.recycle(p);
             } else {
@@ -1091,13 +1068,8 @@ impl QPSeeker {
     /// it also backs prediction when `config.fast_inference` is off.
     pub fn predict_tape(&self, query: &Query, plan: &PlanNode) -> Prediction {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let fq = {
-            let mut sess = self.lock_fallback_session();
-            self.feat.featurize(&mut sess.feat, query, plan, None, norm, "")
-        };
-        let (preds, _mu) = self.forward_tape(&fq);
-        let raw = norm.decode(preds);
-        Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+        let mut sess = self.lock_fallback_session();
+        self.predict_tape_in(&mut sess.feat, query, plan, norm)
     }
 
     /// The 32-d latent mean of a QEP (Fig. 5's latent space).
@@ -1149,9 +1121,10 @@ impl QPSeeker {
     }
 }
 
-/// Cached per-query inference state: the tape-free query embedding plus the
-/// plan featurization cache, both shared by every candidate plan of one
-/// query. Built by [`QPSeeker::query_context`].
+/// Cached per-query inference state, shared by every candidate plan of one
+/// query: the tape-free query embedding, the plan featurization cache, and
+/// the subtree memo of plan-encoder states. Built by
+/// [`QPSeeker::query_context`].
 pub struct QueryContext {
     qemb: Tensor,
     plan_cache: PlanFeatCache,
@@ -1160,9 +1133,50 @@ pub struct QueryContext {
     /// Crate-visible so the MCTS loop can pick the matching plan
     /// materialization (see `PlanAssembler::build_for_eval`).
     pub(crate) fast: bool,
-    /// Reusable featurization buffer for the batched prediction path, so a
-    /// steady stream of batch flushes allocates no new `Vec<FeatNode>`s.
+    /// Reusable featurization buffer for broker submissions, so a steady
+    /// stream of flushes allocates no new `Vec<FeatNode>`s.
     feat_batch: Vec<FeatNode>,
+    /// LSTM `(h, c)` per subtree interned in `plan_cache`.
+    memo: SubtreeMemo,
+    /// The current batch's served plans: post-order subtree ids, back to
+    /// back, and each plan's node count.
+    ids: Vec<u32>,
+    spans: Vec<usize>,
+    /// Per plan of the current batch: served by the fast path (else tape).
+    served: Vec<bool>,
+    lstm_rows: usize,
+    node_positions: usize,
+}
+
+impl QueryContext {
+    /// LSTM rows the plan encoder has computed through this context: one
+    /// per distinct subtree of the plans scored on the fast path.
+    pub fn lstm_rows(&self) -> usize {
+        self.lstm_rows
+    }
+
+    /// Plan-node positions scored through this context on the fast path:
+    /// the LSTM rows an encoder without the subtree memo would compute.
+    /// Plans scored through an [`crate::evalbroker::EvalBroker`] or the
+    /// tape count in neither counter.
+    pub fn node_positions(&self) -> usize {
+        self.node_positions
+    }
+
+    /// Forget every memoized subtree and zero both counters, keeping the
+    /// query embedding and the featurization caches: the start of an
+    /// independent search on the same query.
+    pub(crate) fn reset_memo(&mut self) {
+        self.plan_cache.clear_subtrees();
+        self.memo.clear();
+        self.lstm_rows = 0;
+        self.node_positions = 0;
+    }
+
+    /// Whether the fast featurizer represents every plan exactly.
+    fn binds_all(&self, plans: &[&PlanNode]) -> bool {
+        plans.iter().all(|p| self.plan_cache.plan_mask(p).is_some())
+    }
 }
 
 /// One epoch boundary of a journaled training run, as persisted by
@@ -1218,6 +1232,26 @@ struct SampleGrad {
     pred: f64,
     /// Per-sample KL (batch value = mean over samples).
     kl: f64,
+}
+
+/// Denormalize one `(card, cost, time)` prediction row.
+fn decode(norm: &TargetNormalizer, row: [f32; 3]) -> Prediction {
+    let raw = norm.decode(row);
+    Prediction { cardinality: raw[0], cost: raw[1], runtime_ms: raw[2] }
+}
+
+/// Complete `out`, which holds one result per served plan in order, with a
+/// `tape` result for every plan the fast path did not serve.
+fn merge_tape<T>(
+    out: &mut Vec<T>,
+    plans: &[&PlanNode],
+    served: &[bool],
+    mut tape: impl FnMut(&PlanNode) -> T,
+) {
+    let mut fast = std::mem::take(out).into_iter();
+    for (plan, &ok) in plans.iter().zip(served) {
+        out.push(if ok { fast.next().expect("one result per served plan") } else { tape(plan) });
+    }
 }
 
 /// Row `i` of the batch noise tensor as a standalone `[1, latent]` tensor.

@@ -254,6 +254,8 @@ impl BeamPlanner {
                 predicted_ms: best.1,
                 simulations: 3,
                 plans_evaluated: 3,
+                lstm_rows: ctx.lstm_rows(),
+                node_positions: ctx.node_positions(),
                 budget_exhausted: false,
             };
         }
@@ -450,6 +452,8 @@ impl BeamPlanner {
             predicted_ms: best_score,
             simulations,
             plans_evaluated: evals,
+            lstm_rows: ctx.lstm_rows(),
+            node_positions: ctx.node_positions(),
             budget_exhausted,
         }
     }

@@ -219,6 +219,14 @@ pub struct MctsResult {
     pub simulations: usize,
     /// Distinct complete plans evaluated by the cost model.
     pub plans_evaluated: usize,
+    /// LSTM rows the plan encoder computed for this search: one per
+    /// distinct subtree of the plans it scored (see
+    /// [`QueryContext::lstm_rows`]).
+    pub lstm_rows: usize,
+    /// Plan-node positions this search scored: the LSTM rows an encoder
+    /// without the subtree memo would compute (see
+    /// [`QueryContext::node_positions`]).
+    pub node_positions: usize,
     /// True when the search consumed its full time budget.
     pub budget_exhausted: bool,
 }
@@ -383,6 +391,8 @@ impl MctsPlanner {
                 predicted_ms,
                 simulations: evaluated,
                 plans_evaluated: evaluated,
+                lstm_rows: ctx.lstm_rows(),
+                node_positions: ctx.node_positions(),
                 budget_exhausted: false,
             };
         }
@@ -424,6 +434,8 @@ impl MctsPlanner {
             predicted_ms: best_t.unwrap_or(f64::INFINITY),
             simulations,
             plans_evaluated: eval_cache.len(),
+            lstm_rows: ctx.lstm_rows(),
+            node_positions: ctx.node_positions(),
             budget_exhausted,
         }
     }
@@ -478,6 +490,10 @@ impl MctsPlanner {
                             let seed =
                                 query_seed ^ (u as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                             let mut best_t = None;
+                            // A fresh memo per unit keeps the counters a
+                            // function of the unit, not of which units
+                            // this thread ran before.
+                            ctx.reset_memo();
                             let (simulations, budget_exhausted) = run_search(
                                 cfg,
                                 ev,
@@ -503,6 +519,8 @@ impl MctsPlanner {
                                     // differ in their first action), so
                                     // per-unit cache sizes sum exactly.
                                     plans_evaluated: shard.mcts.eval_cache.len(),
+                                    lstm_rows: ctx.lstm_rows(),
+                                    node_positions: ctx.node_positions(),
                                     budget_exhausted,
                                 },
                             ));
@@ -520,11 +538,14 @@ impl MctsPlanner {
         results.sort_by_key(|&(u, _)| u);
         let mut simulations = 0usize;
         let mut plans_evaluated = 0usize;
+        let (mut lstm_rows, mut node_positions) = (0usize, 0usize);
         let mut budget_exhausted = false;
         let mut best: Option<(f64, usize)> = None;
         for (i, (_, r)) in results.iter().enumerate() {
             simulations += r.simulations;
             plans_evaluated += r.plans_evaluated;
+            lstm_rows += r.lstm_rows;
+            node_positions += r.node_positions;
             budget_exhausted |= r.budget_exhausted;
             if let Some(t) = r.best_t {
                 if best.map(|(bt, _)| t < bt).unwrap_or(true) {
@@ -538,6 +559,8 @@ impl MctsPlanner {
                 predicted_ms: t,
                 simulations,
                 plans_evaluated,
+                lstm_rows,
+                node_positions,
                 budget_exhausted,
             },
             None => {
@@ -549,6 +572,8 @@ impl MctsPlanner {
                     predicted_ms: f64::INFINITY,
                     simulations,
                     plans_evaluated,
+                    lstm_rows,
+                    node_positions,
                     budget_exhausted,
                 }
             }
@@ -573,6 +598,8 @@ struct UnitResult {
     best_t: Option<f64>,
     simulations: usize,
     plans_evaluated: usize,
+    lstm_rows: usize,
+    node_positions: usize,
     budget_exhausted: bool,
 }
 
@@ -1046,6 +1073,7 @@ mod tests {
         let res = MctsPlanner::new(MctsConfig::default()).plan(&model, &q);
         assert!(matches!(res.plan, PlanNode::Scan { .. }));
         assert_eq!(res.plans_evaluated, 3);
+        assert_eq!((res.lstm_rows, res.node_positions), (3, 3));
     }
 
     #[test]
@@ -1103,6 +1131,11 @@ mod tests {
         let batched = MctsPlanner::new(MctsConfig { batch_eval: 8, ..cfg }).plan(&m2, &q);
         assert_eq!(scalar.plans_evaluated, 54);
         assert_eq!(batched.plans_evaluated, 54);
+        // 54 three-node plans; distinct subtrees: 2 aliases × 3 scans, and
+        // every root.
+        for r in [&scalar, &batched] {
+            assert_eq!((r.lstm_rows, r.node_positions), (6 + 54, 54 * 3));
+        }
         assert_eq!(scalar.plan, batched.plan);
         assert_eq!(scalar.predicted_ms.to_bits(), batched.predicted_ms.to_bits());
     }
@@ -1127,6 +1160,8 @@ mod tests {
             assert_eq!(runs[0].predicted_ms.to_bits(), r.predicted_ms.to_bits());
             assert_eq!(runs[0].simulations, r.simulations);
             assert_eq!(runs[0].plans_evaluated, r.plans_evaluated);
+            assert_eq!(runs[0].lstm_rows, r.lstm_rows);
+            assert_eq!(runs[0].node_positions, r.node_positions);
         }
         assert!(runs[0].plan.validate(&q).is_ok());
         assert!(runs[0].plan.is_left_deep());
@@ -1150,6 +1185,10 @@ mod tests {
         let parallel = MctsPlanner::new(MctsConfig { parallel_sims: 2, ..cfg }).plan(&model, &q);
         assert_eq!(classic.plans_evaluated, 54);
         assert_eq!(parallel.plans_evaluated, 54);
+        assert_eq!((classic.lstm_rows, classic.node_positions), (6 + 54, 54 * 3));
+        // Each of the 6 root units (first scan fixed) memoizes alone: its
+        // first leaf, 3 second leaves and 9 roots.
+        assert_eq!((parallel.lstm_rows, parallel.node_positions), (6 * 13, 54 * 3));
         assert_eq!(classic.plan, parallel.plan);
         assert_eq!(classic.predicted_ms.to_bits(), parallel.predicted_ms.to_bits());
     }

@@ -43,9 +43,10 @@ impl<'a> CardEstimator<'a> {
     }
 
     /// Estimated output rows of scanning `alias` with its pushed-down filters
-    /// (independence across filters).
+    /// (independence across filters). An alias `query` does not bind is read
+    /// as a table name, as [`Self::join_selectivity`] does.
     pub fn scan_rows(&self, query: &Query, alias: &str) -> f64 {
-        let table = query.table_of(alias).expect("alias resolves");
+        let table = query.table_of(alias).unwrap_or(alias);
         let n = self.db.table_stats(table).map(|s| s.n_rows).unwrap_or(1) as f64;
         let sel: f64 =
             query.filters_of(alias).iter().map(|f| self.filter_selectivity(table, f)).product();

@@ -320,8 +320,9 @@ fn plan(opts: &Opts) -> Result<(), String> {
     let res = planner.plan(&model, &q);
     println!("{}", res.plan.pretty());
     println!(
-        "predicted runtime: {:.3} ms ({} plans evaluated in {} simulations)",
-        res.predicted_ms, res.plans_evaluated, res.simulations
+        "predicted runtime: {:.3} ms ({} plans evaluated in {} simulations; \
+         {} LSTM rows for {} plan nodes)",
+        res.predicted_ms, res.plans_evaluated, res.simulations, res.lstm_rows, res.node_positions
     );
     if opts.contains_key("execute") {
         let exec = Executor::new(&db).execute(&res.plan);
