@@ -321,103 +321,6 @@ impl PlanEncoder {
         memo.rows = end;
         end - start
     }
-
-    /// Tape-free [`Self::forward`] over `K` **shape-congruent** featurized
-    /// plans (same tree structure and feature widths), computing every node:
-    /// the [`crate::evalbroker::EvalBroker`]'s fused pass, whose rows come
-    /// from different queries and so share no subtree memo. Returns
-    /// `[K * n_nodes, out_dim]` with plan `p`'s postorder rows at
-    /// `p * n_nodes ..`, or `None` when the trees are not congruent.
-    ///
-    /// Each tree position becomes ONE `rows = K` LSTM step. Row `p` is
-    /// bitwise identical to the subtree memo's row for the same
-    /// node: the matmul kernel guarantees per-row reduction order, and every
-    /// other op here (state pooling, gate math, input assembly) is
-    /// row-independent.
-    pub fn forward_inference_batch(
-        &self,
-        store: &ParamStore,
-        plans: &[&FeatNode],
-        sc: &mut ScratchArena,
-    ) -> Option<Tensor> {
-        let (first, rest) = plans.split_first()?;
-        if !rest.iter().all(|p| congruent(first, p)) {
-            return None;
-        }
-        let n_nodes = first.count();
-        let mut out = sc.take(plans.len() * n_nodes, self.out_dim);
-        let mut pos = 0usize;
-        let root = self.batch_node_inference(store, plans, &mut out, n_nodes, &mut pos, sc);
-        root.recycle(sc);
-        Some(out)
-    }
-
-    /// One tree position for all K plans at once: `nodes_at[p]` is plan `p`'s
-    /// node at this position.
-    fn batch_node_inference(
-        &self,
-        store: &ParamStore,
-        nodes_at: &[&FeatNode],
-        out: &mut Tensor,
-        n_nodes: usize,
-        pos: &mut usize,
-        sc: &mut ScratchArena,
-    ) -> LstmStateBuf {
-        let kn = nodes_at.len();
-        let node0 = nodes_at[0];
-        let mid_cols = node0.mid.cols();
-        let input_dim = self.data_dim + mid_cols + (self.out_dim - self.data_dim);
-        let (input, state_in) = if node0.children.is_empty() {
-            let mut input = sc.take(kn, input_dim);
-            for (r, nd) in nodes_at.iter().enumerate() {
-                let est = nd.leaf_est.as_ref().expect("leaf featurization includes estimates");
-                let d = input.row_slice_mut(r);
-                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(nd.mid.data());
-                d[self.data_dim + mid_cols..].copy_from_slice(est.data());
-            }
-            (input, self.cell.zero_state_buf(kn, sc))
-        } else {
-            let mut hsum = sc.take(kn, self.out_dim);
-            let mut csum = sc.take(kn, self.out_dim);
-            let mut child_col: Vec<&FeatNode> = Vec::with_capacity(kn);
-            for ci in 0..node0.children.len() {
-                child_col.clear();
-                child_col.extend(nodes_at.iter().map(|nd| &nd.children[ci]));
-                let s = self.batch_node_inference(store, &child_col, out, n_nodes, pos, sc);
-                for (a, v) in hsum.data_mut().iter_mut().zip(s.h.data()) {
-                    *a += v;
-                }
-                for (a, v) in csum.data_mut().iter_mut().zip(s.c.data()) {
-                    *a += v;
-                }
-                s.recycle(sc);
-            }
-            let inv = 1.0 / node0.children.len().max(1) as f32;
-            for a in hsum.data_mut() {
-                *a *= inv;
-            }
-            for a in csum.data_mut() {
-                *a *= inv;
-            }
-            let mut input = sc.take(kn, input_dim);
-            for (r, nd) in nodes_at.iter().enumerate() {
-                let d = input.row_slice_mut(r);
-                let pooled = hsum.row_slice(r);
-                d[..self.data_dim].copy_from_slice(&pooled[..self.data_dim]);
-                d[self.data_dim..self.data_dim + mid_cols].copy_from_slice(nd.mid.data());
-                d[self.data_dim + mid_cols..].copy_from_slice(&pooled[self.data_dim..]);
-            }
-            (input, LstmStateBuf { h: hsum, c: csum })
-        };
-        let out_state = self.cell.step_inference(store, &input, &state_in, sc);
-        sc.recycle(input);
-        state_in.recycle(sc);
-        for r in 0..kn {
-            out.row_slice_mut(r * n_nodes + *pos).copy_from_slice(out_state.h.row_slice(r));
-        }
-        *pos += 1;
-        out_state
-    }
 }
 
 /// `dst = (0 + a + b) / 2`: two child rows summed from zero in child order,
@@ -426,15 +329,6 @@ fn mean_of_two(dst: &mut [f32], a: &[f32], b: &[f32]) {
     for ((o, x), y) in dst.iter_mut().zip(a).zip(b) {
         *o = (0.0 + x + y) * 0.5;
     }
-}
-
-/// Structural congruence: same tree shape and per-node feature widths, so the
-/// K plans can share one batched LSTM step per tree position.
-pub(crate) fn congruent(a: &FeatNode, b: &FeatNode) -> bool {
-    a.children.len() == b.children.len()
-        && a.mid.cols() == b.mid.cols()
-        && a.leaf_est.is_some() == b.leaf_est.is_some()
-        && a.children.iter().zip(&b.children).all(|(x, y)| congruent(x, y))
 }
 
 fn average_states(g: &mut Graph, states: &[LstmState]) -> LstmState {
@@ -589,8 +483,12 @@ mod tests {
         assert_ne!(g.value(ea.root).data(), g.value(eb.root).data());
     }
 
+    /// The subtree memo's reference pins: every memoized node row matches
+    /// the tape encoder ([`PlanEncoder::forward`], the training-path
+    /// forward) within 1e-5, and equals — bit for bit — the row a fresh
+    /// context computes when that plan is encoded alone.
     #[test]
-    fn memoized_encoding_bitwise_equals_congruent_batch() {
+    fn memoized_encoding_matches_tape_and_fresh_context() {
         let (db, q, _) = setup();
         let cfg = ModelConfig::small();
         let mut store = ParamStore::new();
@@ -599,8 +497,8 @@ mod tests {
         let norm = TargetNormalizer::fit(&[[1.0, 1.0, 1.0], [100.0, 50.0, 10.0]]);
         let f = Featurizer::new(db.clone(), TabSim::new(TabertConfig::paper_default()));
         let mut sess = crate::featurize::FeatSession::new();
-        // Three congruent left-deep candidates: different join orders and
-        // ops, sharing the (title, movie_info) hash-join prefix twice.
+        // Three left-deep candidates: different join orders and ops,
+        // sharing the (title, movie_info) hash-join prefix twice.
         let mk = |a: &str, b: &str, c: &str, op| {
             PlanNode::join(
                 &q,
@@ -619,18 +517,6 @@ mod tests {
             mk("title", "movie_info", "movie_keyword", JoinOp::NestedLoopJoin),
             mk("movie_keyword", "title", "movie_info", JoinOp::MergeJoin),
         ];
-        let plan_refs: Vec<&PlanNode> = plans.iter().collect();
-        let mut feats = Vec::new();
-        let mut fcache = PlanFeatCache::new(&q);
-        f.featurize_batch_into(&mut sess, &q, &plan_refs, &norm, &mut fcache, &mut feats);
-        let refs: Vec<&FeatNode> = feats.iter().collect();
-        let mut sc = ScratchArena::new();
-        let batched = penc
-            .forward_inference_batch(&store, &refs, &mut sc)
-            .expect("left-deep candidates are congruent");
-        let n = feats[0].count();
-        assert_eq!(batched.shape(), (3 * n, cfg.plan_node_out));
-
         let mut cache = PlanFeatCache::new(&q);
         let mut ids = Vec::new();
         for p in &plans {
@@ -639,22 +525,38 @@ mod tests {
         // 3 leaves + 1 shared join + 2 roots, then 2 more joins for the
         // third order (its leaves are already interned).
         assert_eq!(cache.subtree_count(), 3 + 1 + 2 + 2);
+        let mut sc = ScratchArena::new();
         let mut memo = SubtreeMemo::default();
         assert_eq!(penc.encode_subtrees(&store, &cache, &mut memo, &mut sc), 8);
-        assert_eq!(ids.len(), 3 * n, "post-order ids mirror the batched layout");
-        for (row, &id) in ids.iter().enumerate() {
-            assert_eq!(
-                memo.h_row(id),
-                batched.row_slice(row),
-                "node row {row}: memoized encoding is not bitwise equal"
-            );
-        }
         assert_eq!(penc.encode_subtrees(&store, &cache, &mut memo, &mut sc), 0, "all memoized");
 
-        // Non-congruent input (different node count) has no congruent batch.
-        let bushy = PlanNode::scan(&q, "title", ScanOp::SeqScan);
-        let fb = f.featurize(&mut sess, &q, &bushy, None, &norm, "t").plan;
-        assert!(penc.forward_inference_batch(&store, &[&feats[0], &fb], &mut sc).is_none());
+        let mut at = 0;
+        for p in &plans {
+            let n = p.len();
+            let shared = &ids[at..at + n];
+            at += n;
+            // Tape reference: the node outputs in post-order.
+            let fq = f.featurize(&mut sess, &q, p, None, &norm, "t");
+            let mut g = Graph::new();
+            let enc = penc.forward(&mut g, &store, &fq.plan);
+            assert_eq!(enc.node_vars.len(), n);
+            for (&var, &id) in enc.node_vars.iter().zip(shared) {
+                for (t, m) in g.value(var).data().iter().zip(memo.h_row(id)) {
+                    assert!((t - m).abs() < 1e-5, "memo row {m} vs tape {t}");
+                }
+            }
+            // Fresh context: this plan alone, nothing shared.
+            let mut fresh_cache = PlanFeatCache::new(&q);
+            let mut fresh_ids = Vec::new();
+            assert!(f.intern_plan(&mut sess, &q, p, &norm, &mut fresh_cache, &mut fresh_ids));
+            let mut fresh = SubtreeMemo::default();
+            assert_eq!(penc.encode_subtrees(&store, &fresh_cache, &mut fresh, &mut sc), n);
+            for (&s, &id) in shared.iter().zip(&fresh_ids) {
+                assert_eq!(memo.h_row(s), fresh.h_row(id), "memo row is not bitwise fresh");
+                assert_eq!(memo.c_row(s), fresh.c_row(id), "memo cell is not bitwise fresh");
+            }
+        }
+        assert_eq!(at, ids.len());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! concurrent load. The [`EvalBroker`] is a shared scoring service: worker
 //! sessions — across a whole [`crate::serve::Supervisor`] pool, and across
 //! every tenant lane of a [`crate::tenant::MultiTenantSupervisor`] — submit
-//! their candidate batches to the broker, which packs congruent-shape rows
-//! from *different* requests into one large fused forward pass.
+//! their candidate batches to the broker, which packs the rows of
+//! *different* requests into one large fused VAE pass.
 //!
 //! # Why fusing is plan-safe
 //!
@@ -50,15 +50,20 @@
 //!
 //! [`submit`]: EvalBroker::submit
 //!
-//! # Congruence bucketing
+//! # What is fused, and bucketing
 //!
-//! Rows only fuse when the plan-encoder can run them as one batch: same
-//! model (same epoch — hot-swapped models never share a bucket), same
-//! scoring kind (mean vs `S`-sample risk), same recursive tree shape.
-//! Submissions are bucketed by a recursive shape signature of their first
-//! plan; the executor re-verifies congruence row by row and splits into
-//! per-shape fused runs, so a signature collision degrades to smaller
-//! batches instead of a wrong answer.
+//! Everything that depends on the query runs submitter-side, outside the
+//! broker lock: featurization, the memoized plan encoder (each distinct
+//! subtree of the member's search is encoded once, in its own
+//! [`crate::model::QueryContext`]) and QPAttention. A submission carries
+//! the resulting `[K, joint_dim]` joint rows — plus the seeded `[S,
+//! latent]` eps block when risk scoring. What is left is the VAE, a pure
+//! row function of the joint embedding, so any two rows of the same model
+//! and scoring kind can share a pass, whatever their plans' shapes or
+//! queries. Buckets are keyed by `(model, samples)` alone: same model
+//! (same epoch — hot-swapped models never share a bucket) and same scoring
+//! kind (mean, or risk with `S` samples). A flush concatenates the
+//! bucket's rows and runs ONE VAE pass.
 //!
 //! # Backpressure and fault containment
 //!
@@ -66,7 +71,7 @@
 //! answered, so total pending work is bounded by the member count — a
 //! stalled submitter holds back at most the buckets it belongs to, and the
 //! forced-progress rule keeps every other bucket draining. The member that
-//! completes a round executes the fused forwards itself (there is no
+//! completes a round executes the fused passes itself (there is no
 //! broker thread); each bucket's execution runs inside a panic boundary,
 //! and a panic poisons only that bucket's submissions — the affected
 //! members re-raise inside their own per-attempt boundaries and burn only
@@ -77,7 +82,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::featurize::FeatNode;
 use crate::model::{Prediction, QPSeeker};
 use qpseeker_nn::prelude::Tensor;
 
@@ -89,7 +93,17 @@ pub const ROUND_TICK_US: u64 = 50;
 /// Micro-batch window configuration for the [`EvalBroker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrokerConfig {
-    /// Rows at which a shape bucket flushes immediately (a *size* flush).
+    /// Rows at which a bucket flushes immediately (a *size* flush).
+    ///
+    /// Each member has at most one submission in flight, so the rows
+    /// pending in a round are at most the sum of the live members'
+    /// submission sizes (MCTS `batch_eval` rollouts, a beam level's fresh
+    /// completions). When that sum stays below `batch_target` no size
+    /// flush can fire and every flush counts as a deadline flush
+    /// (`flush_size` reads 0): two serving lanes submitting at most 16 rows
+    /// each stay below the default 64.
+    /// With a single bucket (every member on one model and one scoring
+    /// kind) every round then flushes everything pending.
     pub batch_target: usize,
     /// Micro-batch deadline on the virtual round clock: a sub-target
     /// bucket is held at most `batch_window_us / ROUND_TICK_US` rounds
@@ -107,7 +121,7 @@ impl Default for BrokerConfig {
 /// [`crate::metrics::ServeCounters`] after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {
-    /// Fused forward passes executed.
+    /// Fused VAE passes executed (one per bucket flush).
     pub fused_batches: usize,
     /// Total rows across all fused passes (mean occupancy is
     /// `fused_rows / fused_batches`).
@@ -142,26 +156,24 @@ impl BrokerStats {
     }
 }
 
-/// What may share a fused forward: same model instance (pointer identity —
-/// distinct epochs are distinct allocations), same scoring kind
-/// (`samples == 0` is mean scoring), same first-plan tree shape.
+/// What may share a fused VAE pass: same model instance (pointer identity —
+/// distinct epochs are distinct allocations) and same scoring kind
+/// (`samples == 0` is mean scoring, else risk with `samples` draws).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct BucketKey {
     pub(crate) model: usize,
     pub(crate) samples: usize,
-    pub(crate) shape_sig: u64,
 }
 
-/// One member's in-flight eval request: pre-featurized plans plus owned
-/// copies of the per-query tensors the fused forward needs. Featurization
-/// stays submitter-side (it uses the member's own session caches), so the
-/// broker only ever runs the shape-uniform tensor pipeline.
+/// One member's in-flight eval request: the joint embeddings of its
+/// candidates, computed submitter-side through the member's own query
+/// context (featurization, memoized plan encoder, attention), so the
+/// broker only runs the VAE.
 pub(crate) struct Submission {
     pub(crate) key: BucketKey,
-    /// One featurized tree per candidate plan.
-    pub(crate) nodes: Vec<FeatNode>,
-    /// The submitting query's embedding, `[1, qd]`.
-    pub(crate) qemb: Tensor,
+    /// One `[joint_dim]` row per candidate plan, `[K, joint_dim]`; handed
+    /// back with the outcome so the submitter can recycle it.
+    pub(crate) joint: Tensor,
     /// Seeded latent draws `[samples, latent]` when risk scoring.
     pub(crate) eps: Option<Tensor>,
 }
@@ -179,7 +191,7 @@ pub(crate) enum FusedOutcome {
 
 struct Slot {
     pending: Option<Submission>,
-    outcome: Option<(FusedOutcome, Vec<FeatNode>)>,
+    outcome: Option<(FusedOutcome, Tensor)>,
     /// This member's private wakeup: a flush notifies exactly the members
     /// it released. A shared condvar would wake every parked member per
     /// round (a thundering herd that, on few cores, costs more in context
@@ -202,7 +214,7 @@ struct BrokerState {
 
 /// The shared scoring service. Passive: there is no broker thread — the
 /// member whose submit (or retire) completes a round executes that round's
-/// fused forwards under the broker lock, while every other pending member
+/// fused passes under the broker lock, while every other pending member
 /// is parked on the condvar.
 pub struct EvalBroker {
     cfg: BrokerConfig,
@@ -232,7 +244,7 @@ impl std::fmt::Debug for BrokerMember {
 }
 
 impl BrokerMember {
-    pub(crate) fn submit(&self, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
+    pub(crate) fn submit(&self, sub: Submission) -> (FusedOutcome, Tensor) {
         self.broker.submit(self.id, sub)
     }
 }
@@ -283,7 +295,7 @@ impl EvalBroker {
         }
     }
 
-    fn submit(&self, id: usize, sub: Submission) -> (FusedOutcome, Vec<FeatNode>) {
+    fn submit(&self, id: usize, sub: Submission) -> (FusedOutcome, Tensor) {
         let mut st = self.lock();
         debug_assert!(st.slots[id].pending.is_none() && st.slots[id].outcome.is_none());
         let round = st.round;
@@ -302,9 +314,9 @@ impl EvalBroker {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        let (outcome, nodes) = st.slots[id].outcome.take().expect("checked above");
+        let outcome = st.slots[id].outcome.take().expect("checked above");
         drop(st);
-        (outcome, nodes)
+        outcome
     }
 
     fn retire(&self, id: usize) {
@@ -319,7 +331,7 @@ impl EvalBroker {
     }
 
     /// One flush round: decide which buckets flush, execute their fused
-    /// forwards, release their submitters. Runs with the broker lock held —
+    /// VAE passes, release their submitters. Runs with the broker lock held —
     /// every pending member is parked on the condvar, so nothing else can
     /// touch the state, and released members only resume once we notify.
     fn run_round(&self, st: &mut BrokerState) {
@@ -329,7 +341,7 @@ impl EvalBroker {
         for (id, slot) in st.slots.iter().enumerate() {
             if let Some(sub) = &slot.pending {
                 let e = pending.entry(sub.key).or_insert((0, id));
-                e.0 += sub.nodes.len();
+                e.0 += sub.joint.rows();
             }
         }
         debug_assert!(!pending.is_empty(), "round fired with no pending work");
@@ -374,7 +386,7 @@ impl EvalBroker {
             FlushReason::Deadline => st.stats.flush_deadline += 1,
         }
         // SAFETY: `key.model` was captured from a `&QPSeeker` inside
-        // `broker_predict_*`, whose caller is — for every submission in
+        // `QPSeeker::submit_joint`, whose caller is — for every submission in
         // this bucket — still parked inside `submit` and holds that borrow
         // across the park. The model therefore outlives this flush. A
         // pointer (not a lifetime) is used because different workers pin
@@ -382,14 +394,13 @@ impl EvalBroker {
         let model = unsafe { &*(key.model as *const QPSeeker) };
         let fused = catch_unwind(AssertUnwindSafe(|| model.fused_eval(&subs)));
         match fused {
-            Ok((outcomes, forwards)) => {
-                for rows in forwards {
-                    st.stats.fused_batches += 1;
-                    st.stats.fused_rows += rows;
-                    st.stats.occupancy_max = st.stats.occupancy_max.max(rows);
-                }
+            Ok(outcomes) => {
+                let rows: usize = subs.iter().map(|s| s.joint.rows()).sum();
+                st.stats.fused_batches += 1;
+                st.stats.fused_rows += rows;
+                st.stats.occupancy_max = st.stats.occupancy_max.max(rows);
                 for ((id, outcome), sub) in ids.iter().zip(outcomes).zip(subs) {
-                    st.slots[*id].outcome = Some((outcome, sub.nodes));
+                    st.slots[*id].outcome = Some((outcome, sub.joint));
                 }
             }
             Err(payload) => {
@@ -397,7 +408,7 @@ impl EvalBroker {
                 // member re-raises inside its own attempt boundary.
                 let msg = crate::error::panic_message(payload);
                 for (id, sub) in ids.iter().zip(subs) {
-                    st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub.nodes));
+                    st.slots[*id].outcome = Some((FusedOutcome::Poisoned(msg.clone()), sub.joint));
                 }
             }
         }
@@ -412,28 +423,6 @@ impl EvalBroker {
 enum FlushReason {
     Size,
     Deadline,
-}
-
-/// Recursive tree-shape signature matching the plan encoder's congruence
-/// requirement exactly: child counts (preorder), middle-segment widths, and
-/// leaf-estimate presence. Plans with equal signatures batch into one
-/// encoder run (modulo hash collisions, which the executor re-verifies).
-pub(crate) fn shape_sig(node: &FeatNode) -> u64 {
-    fn step(h: &mut u64, v: u64) {
-        *h ^= v;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn walk(n: &FeatNode, h: &mut u64) {
-        step(h, n.children.len() as u64 + 1);
-        step(h, n.mid.cols() as u64);
-        step(h, u64::from(n.leaf_est.is_some()));
-        for c in &n.children {
-            walk(c, h);
-        }
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    walk(node, &mut h);
-    h
 }
 
 #[cfg(test)]
@@ -466,20 +455,24 @@ mod tests {
         })
     }
 
-    /// A 3-relation star over the IMDb FK schema (all its left-deep plans
-    /// are shape-congruent, so they may share a fused forward).
-    fn star_query(id: &str) -> Query {
+    /// A star over the IMDb FK schema: every table after the hub `title`
+    /// joins it on `movie_id`.
+    fn star(id: &str, tables: &[&str]) -> Query {
         let mut q = Query::new(id);
-        for t in ["title", "movie_info", "movie_keyword"] {
-            q.relations.push(RelRef::new(t));
+        for t in tables {
+            q.relations.push(RelRef::new(*t));
         }
-        for t in ["movie_info", "movie_keyword"] {
+        for t in &tables[1..] {
             q.joins.push(JoinPred {
-                left: ColRef::new(t, "movie_id"),
+                left: ColRef::new(*t, "movie_id"),
                 right: ColRef::new("title", "id"),
             });
         }
         q
+    }
+
+    fn star_query(id: &str) -> Query {
+        star(id, STARS[0])
     }
 
     const ORDERS: [[&str; 3]; 4] = [
@@ -489,99 +482,182 @@ mod tests {
         ["movie_keyword", "title", "movie_info"],
     ];
 
-    fn plan_strategy() -> impl Strategy<Value = LeftDeepSpec> {
+    /// One candidate of query `query` (0: the 3-relation star, 1: a
+    /// 4-relation star): the first `size` relations ordered by `keys`,
+    /// joined left-deep or bushy (split points from `splits`); `ops[0..4]`
+    /// pick the scans, `ops[4..7]` the joins in pre-order.
+    #[derive(Debug, Clone)]
+    struct TreeSpec {
+        query: usize,
+        size: usize,
+        keys: Vec<u32>,
+        left_deep: bool,
+        splits: Vec<usize>,
+        ops: Vec<usize>,
+    }
+
+    const STARS: [&[&str]; 2] = [
+        &["title", "movie_info", "movie_keyword"],
+        &["title", "movie_info", "movie_keyword", "cast_info"],
+    ];
+
+    fn tree_strategy() -> impl Strategy<Value = TreeSpec> {
         (
-            0usize..ORDERS.len(),
-            proptest::collection::vec(0usize..ScanOp::ALL.len(), 3),
-            proptest::collection::vec(0usize..JoinOp::ALL.len(), 2),
+            (0usize..2, 1usize..5),
+            proptest::collection::vec(0u32..1000, 4),
+            proptest::bool::ANY,
+            proptest::collection::vec(0usize..8, 3),
+            proptest::collection::vec(0usize..3, 7),
         )
-            .prop_map(|(ord, scans, joins)| LeftDeepSpec {
-                scans: ORDERS[ord]
-                    .iter()
-                    .zip(&scans)
-                    .map(|(rel, &s)| (rel.to_string(), ScanOp::ALL[s]))
-                    .collect(),
-                joins: joins.iter().map(|&j| JoinOp::ALL[j]).collect(),
+            .prop_map(|((query, size), keys, left_deep, splits, ops)| TreeSpec {
+                query,
+                size: size.min(STARS[query].len()),
+                keys,
+                left_deep,
+                splits,
+                ops,
             })
     }
 
+    impl TreeSpec {
+        fn build(&self, q: &Query) -> PlanNode {
+            let rels = STARS[self.query];
+            let mut order: Vec<usize> = (0..rels.len()).collect();
+            order.sort_by_key(|&r| (self.keys[r], r));
+            order.truncate(self.size);
+            self.subtree(q, rels, &order, &mut 0)
+        }
+
+        fn subtree(&self, q: &Query, rels: &[&str], at: &[usize], next: &mut usize) -> PlanNode {
+            if let [r] = at {
+                return PlanNode::scan(q, rels[*r], ScanOp::ALL[self.ops[*r]]);
+            }
+            let k = *next;
+            *next += 1;
+            let cut =
+                if self.left_deep { at.len() - 1 } else { 1 + self.splits[k] % (at.len() - 1) };
+            let left = self.subtree(q, rels, &at[..cut], next);
+            let right = self.subtree(q, rels, &at[cut..], next);
+            PlanNode::join(q, JoinOp::ALL[self.ops[4 + k]], left, right)
+        }
+    }
+
+    /// One member's work: its query, its candidates and, when risk
+    /// scoring, its eps block.
+    type Chunk<'a> = (&'a Query, Vec<PlanNode>, Option<&'a Tensor>);
+
+    /// A mean prediction as `[runtime, cost, cardinality]` bits.
+    fn bits_of(pred: Prediction) -> [u64; 3] {
+        [pred.runtime_ms.to_bits(), pred.cost.to_bits(), pred.cardinality.to_bits()]
+    }
+
+    /// A risk score as `[mean, sigma, 0]` bits.
+    fn risk_bits((mean, sigma): (f64, f64)) -> [u64; 3] {
+        [mean.to_bits(), sigma.to_bits(), 0]
+    }
+
     /// Fuse `chunks` through one broker, each chunk submitted by its own
-    /// member thread, and return the predictions in chunk order.
+    /// member thread in one call, and return the results in chunk order.
     fn fuse_chunks(
         model: &QPSeeker,
-        query: &Query,
-        chunks: Vec<Vec<PlanNode>>,
+        chunks: &[Chunk<'_>],
         cfg: BrokerConfig,
-    ) -> (Vec<Vec<Prediction>>, BrokerStats) {
+    ) -> (Vec<Vec<[u64; 3]>>, BrokerStats) {
         let broker = EvalBroker::new(cfg);
         let members = broker.register_members(chunks.len());
-        let preds: Vec<Vec<Prediction>> = std::thread::scope(|s| {
+        let results = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
-                .into_iter()
+                .iter()
                 .zip(members)
-                .map(|(chunk, member)| {
+                .map(|((query, plans, eps), member)| {
                     s.spawn(move || {
                         let mut feat = FeatSession::default();
                         let mut ctx = model.query_context(query);
                         assert!(ctx.fast, "test model must take the fast inference path");
-                        let refs: Vec<&PlanNode> = chunk.iter().collect();
-                        let mut out = Vec::new();
-                        model.broker_predict_batch_in(
-                            &member, &mut feat, query, &refs, &mut ctx, &mut out,
-                        );
-                        out
+                        let refs: Vec<&PlanNode> = plans.iter().collect();
+                        match eps {
+                            None => {
+                                let mut out = Vec::new();
+                                model.broker_predict_batch_in(
+                                    &member, &mut feat, query, &refs, &mut ctx, &mut out,
+                                );
+                                out.into_iter().map(bits_of).collect::<Vec<_>>()
+                            }
+                            Some(e) => {
+                                let mut out = Vec::new();
+                                model.broker_predict_risk_batch_in(
+                                    &member, &mut feat, query, &refs, &mut ctx, e, &mut out,
+                                );
+                                out.into_iter().map(risk_bits).collect()
+                            }
+                        }
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("member thread")).collect()
         });
-        (preds, broker.take_stats())
+        (results, broker.take_stats())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Any partition of a congruent eval set into member submissions,
-        /// fused through the broker, equals per-plan scalar scoring bit for
-        /// bit — the invariant that makes broker-on serving plan-identical
-        /// to broker-off.
+        /// Any partition of a mixed eval set — left-deep, bushy and partial
+        /// plans of two queries of different sizes — into member
+        /// submissions, fused through the broker, equals per-plan scalar
+        /// scoring bit for bit: the invariant that makes broker-on serving
+        /// plan-identical to broker-off. Shapes and queries never split a
+        /// bucket: each flush is one VAE pass, and since every member
+        /// submits once, the whole set fuses in a single pass.
         #[test]
         fn any_partition_fuses_bitwise_equal_to_scalar(
-            specs in proptest::collection::vec(plan_strategy(), 2..16),
-            assign in proptest::collection::vec(0usize..4, 16),
+            specs in proptest::collection::vec(tree_strategy(), 2..16),
+            assign in proptest::collection::vec(0usize..2, 16),
             target in 1usize..64,
+            risk in proptest::bool::ANY,
         ) {
             let model = shared_model();
-            let query = star_query("broker-partition");
-            let plans: Vec<PlanNode> = specs
-                .iter()
-                .map(|s| s.compile(&query).expect("valid left-deep spec"))
+            let queries = [
+                star("broker-partition-3", STARS[0]),
+                star("broker-partition-4", STARS[1]),
+            ];
+            let eps = [model.risk_eps(4, 0x5eed), model.risk_eps(4, 0xfeed)];
+            // Members 0-1 plan the 3-relation query, members 2-3 the
+            // 4-relation one; empty chunks are legal (those members
+            // retire without submitting).
+            let mut chunks: Vec<Chunk<'_>> = (0..4)
+                .map(|m| (&queries[m / 2], Vec::new(), risk.then_some(&eps[m / 2])))
                 .collect();
-            // Partition the pool over up to 4 members; empty chunks are
-            // legal (those members retire without submitting).
-            let mut chunks: Vec<Vec<PlanNode>> = vec![Vec::new(); 4];
-            for (i, plan) in plans.iter().enumerate() {
-                chunks[assign[i]].push(plan.clone());
+            for (spec, &a) in specs.iter().zip(&assign) {
+                chunks[2 * spec.query + a].1.push(spec.build(&queries[spec.query]));
             }
             let cfg = BrokerConfig { batch_target: target, batch_window_us: 200 };
-            let (fused, stats) = fuse_chunks(model, &query, chunks.clone(), cfg);
-            prop_assert!(stats.fused_rows == plans.len(), "every row scored exactly once");
-            let mut ctx = model.query_context(&query);
-            for (chunk, preds) in chunks.iter().zip(&fused) {
-                prop_assert_eq!(chunk.len(), preds.len());
-                for (plan, fused_p) in chunk.iter().zip(preds) {
-                    let scalar = model.predict_with_context(&query, plan, &mut ctx);
-                    prop_assert_eq!(fused_p.runtime_ms.to_bits(), scalar.runtime_ms.to_bits());
-                    prop_assert_eq!(fused_p.cost.to_bits(), scalar.cost.to_bits());
-                    prop_assert_eq!(fused_p.cardinality.to_bits(), scalar.cardinality.to_bits());
+            let (fused, stats) = fuse_chunks(model, &chunks, cfg);
+            prop_assert_eq!(stats.fused_rows, specs.len(), "every row scored exactly once");
+            prop_assert_eq!(stats.fused_batches, stats.flush_size + stats.flush_deadline);
+            prop_assert_eq!(stats.fused_batches, 1, "one bucket, one flush, one pass");
+            for ((query, plans, eps), got) in chunks.iter().zip(&fused) {
+                prop_assert_eq!(plans.len(), got.len());
+                let mut feat = FeatSession::default();
+                for (plan, got) in plans.iter().zip(got) {
+                    let mut ctx = model.query_context(query);
+                    let want = match eps {
+                        None => bits_of(model.predict_with_context_in(
+                            &mut feat, query, plan, &mut ctx,
+                        )),
+                        Some(e) => risk_bits(model.predict_risk_with_context_in(
+                            &mut feat, query, plan, &mut ctx, e,
+                        )),
+                    };
+                    prop_assert_eq!(*got, want);
                 }
             }
         }
     }
 
-    /// Submissions from *different queries* fuse into one forward pass when
-    /// their plans are shape-congruent — the cross-request case the broker
-    /// exists for — and still score bitwise equal to per-query scalar runs.
+    /// Submissions from *different queries* fuse into one forward pass —
+    /// the cross-request case the broker exists for — and still score
+    /// bitwise equal to per-query scalar runs.
     #[test]
     fn cross_query_submissions_fuse_into_one_forward() {
         let model = shared_model();

@@ -189,18 +189,6 @@ impl PlanFeatCache {
         out[prefix.len() + s.op as usize] = 1.0;
     }
 
-    /// The [`FeatNode`] tree of subtree `id`.
-    fn feat_node(&self, id: u32) -> FeatNode {
-        let s = self.subtrees[id as usize];
-        let mut mid = vec![0.0; self.mid_prefix[&s.mask].len() + PhysicalOp::COUNT];
-        self.write_mid(id, &mut mid);
-        let (leaf_est, children) = match s.children {
-            None => (Some(Tensor::row(self.leaf_est(id).to_vec())), Vec::new()),
-            Some((l, r)) => (None, vec![self.feat_node(l), self.feat_node(r)]),
-        };
-        FeatNode { mid: Tensor::row(mid), leaf_est, truth: None, children }
-    }
-
     /// The normalized EXPLAIN estimates of scan subtree `id`.
     pub(crate) fn leaf_est(&self, id: u32) -> &[f32] {
         let s = &self.subtrees[id as usize];
@@ -419,36 +407,6 @@ impl Featurizer {
             self.tabert.encode_column_filtered(&self.db, table, &f.col.column, &matching).vector;
         sess.filtered.insert(key, repr.clone());
         repr
-    }
-
-    /// Featurize a batch of candidate plans of one query into `out`
-    /// (cleared first) through the [`PlanFeatCache`]: each plan's subtrees
-    /// are interned (warming the prefix and estimate caches on first sight)
-    /// and its [`FeatNode`] tree is assembled from them. Each tree is
-    /// numerically identical to [`Featurizer::featurize`]'s (with no truth
-    /// labels — this is an inference-only path).
-    ///
-    /// # Panics
-    /// When a plan scans an alias the query does not bind, or one alias
-    /// twice.
-    pub fn featurize_batch_into(
-        &self,
-        sess: &mut FeatSession,
-        query: &Query,
-        plans: &[&PlanNode],
-        norm: &TargetNormalizer,
-        cache: &mut PlanFeatCache,
-        out: &mut Vec<FeatNode>,
-    ) {
-        out.clear();
-        out.reserve(plans.len());
-        let mut ids = Vec::new();
-        for plan in plans {
-            ids.clear();
-            let bound = self.intern_plan(sess, query, plan, norm, cache, &mut ids);
-            assert!(bound, "plan scans an alias the query does not bind exactly once");
-            out.push(cache.feat_node(*ids.last().expect("a plan has a root")));
-        }
     }
 
     /// Intern every subtree of `plan` in `cache` (see [`PlanFeatCache`]),

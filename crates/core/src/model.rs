@@ -5,8 +5,8 @@ use crate::config::ModelConfig;
 use crate::durable::SnapshotStore;
 use crate::encoder::{PlanEncoder, QueryEncoder, SubtreeMemo};
 use crate::error::CoreError;
-use crate::evalbroker::{shape_sig, BrokerMember, BucketKey, FusedOutcome, Submission};
-use crate::featurize::{FeatNode, FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
+use crate::evalbroker::{BrokerMember, BucketKey, FusedOutcome, Submission};
+use crate::featurize::{FeatSession, FeaturizedQep, Featurizer, PlanFeatCache};
 use crate::normalize::TargetNormalizer;
 use crate::session::PlannerSession;
 use crate::vae::CostModeler;
@@ -563,7 +563,6 @@ impl QPSeeker {
             qemb,
             plan_cache: PlanFeatCache::new(query),
             fast,
-            feat_batch: Vec::new(),
             memo: SubtreeMemo::default(),
             ids: Vec::new(),
             spans: Vec::new(),
@@ -710,12 +709,7 @@ impl QPSeeker {
                 sc.recycle(joint);
                 let mut times = Vec::with_capacity(s);
                 for k in 0..kn {
-                    times.clear();
-                    for si in 0..s {
-                        let r = si * kn + k;
-                        times.push(norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)])[2]);
-                    }
-                    out.push(mean_sigma(&times));
+                    out.push(risk_stats(norm, &p, kn, k, &mut times));
                 }
                 sc.recycle(p);
             });
@@ -844,13 +838,13 @@ impl QPSeeker {
         mean_sigma(&times)
     }
 
-    /// Pack one candidate batch into an [`EvalBroker`](crate::evalbroker::EvalBroker)
-    /// submission and block until the broker answers. Featurization runs
-    /// here, against the submitter's own caches; only the shape-uniform
-    /// tensor pipeline is delegated. `out[p]` is bitwise identical to
-    /// [`Self::predict_batch_with_context_in`] on the same plans — the
-    /// fused pass shares the per-row FP-order contract, so fusing with
-    /// other requests cannot change any value.
+    /// [`Self::predict_batch_with_context_in`] through an
+    /// [`EvalBroker`](crate::evalbroker::EvalBroker): featurization and the
+    /// memoized plan encoder run here, on the submitter's own context, and
+    /// only the joint rows go to the broker, whose VAE pass fuses them with
+    /// other members' rows. `out[p]` is bitwise identical to the local call
+    /// on the same plans — the VAE pass keeps the per-row FP-order
+    /// contract, so fusing with other requests cannot change any value.
     pub(crate) fn broker_predict_batch_in(
         &self,
         member: &BrokerMember,
@@ -861,30 +855,18 @@ impl QPSeeker {
         out: &mut Vec<Prediction>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
-        if !ctx.binds_all(plans) {
-            // Plans the fast featurizer cannot represent take the tape; the
-            // local path routes them, and values are identical either way.
-            return self.predict_batch_with_context_in(sess, query, plans, ctx, out);
-        }
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
-        let key = BucketKey {
-            model: self as *const QPSeeker as usize,
-            samples: 0,
-            shape_sig: shape_sig(&nodes[0]),
-        };
-        let (outcome, nodes) =
-            member.submit(Submission { key, nodes, qemb: ctx.qemb.clone(), eps: None });
-        ctx.feat_batch = nodes;
-        match outcome {
-            FusedOutcome::Mean(preds) => out.extend(preds),
-            FusedOutcome::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
-            FusedOutcome::Risk(_) => unreachable!("mean submission answered with risk result"),
+        let kn = self.intern_batch(sess, query, plans, norm, ctx);
+        if kn > 0 {
+            match self.submit_joint(member, ctx, None) {
+                FusedOutcome::Mean(preds) => out.extend(preds),
+                _ => unreachable!("mean submission answered with a risk result"),
+            }
+        }
+        if kn < plans.len() {
+            merge_tape(out, plans, &ctx.served, |plan| {
+                self.predict_tape_in(sess, query, plan, norm)
+            });
         }
     }
 
@@ -904,163 +886,99 @@ impl QPSeeker {
         out: &mut Vec<(f64, f64)>,
     ) {
         out.clear();
-        if plans.is_empty() {
-            return;
-        }
-        debug_assert!(ctx.fast, "broker scoring requires the fast inference path");
-        if !ctx.binds_all(plans) {
-            return self.predict_risk_batch_with_context_in(sess, query, plans, ctx, eps, out);
-        }
-        let s = eps.rows();
-        assert!(s > 0, "risk scoring needs at least one latent sample");
+        assert!(eps.rows() > 0, "risk scoring needs at least one latent sample");
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let mut nodes = std::mem::take(&mut ctx.feat_batch);
-        self.feat.featurize_batch_into(sess, query, plans, norm, &mut ctx.plan_cache, &mut nodes);
+        let kn = self.intern_batch(sess, query, plans, norm, ctx);
+        if kn > 0 {
+            match self.submit_joint(member, ctx, Some(eps)) {
+                FusedOutcome::Risk(stats) => out.extend(stats),
+                _ => unreachable!("risk submission answered with a mean result"),
+            }
+        }
+        if kn < plans.len() {
+            merge_tape(out, plans, &ctx.served, |plan| {
+                self.risk_tape_in(sess, query, plan, norm, eps)
+            });
+        }
+    }
+
+    /// Encode the batch [`Self::intern_batch`] left in `ctx`, submit its
+    /// `[K, joint_dim]` joint rows (plus `eps` when risk scoring) and block
+    /// until the broker answers. The encoder's scratch borrow ends before
+    /// the submit: the member that completes a round runs the fused pass on
+    /// its own thread's scratch arena.
+    fn submit_joint(
+        &self,
+        member: &BrokerMember,
+        ctx: &mut QueryContext,
+        eps: Option<&Tensor>,
+    ) -> FusedOutcome {
+        let joint = with_thread_scratch(|sc| self.encode_joint_memo(ctx, sc));
         let key = BucketKey {
             model: self as *const QPSeeker as usize,
-            samples: s,
-            shape_sig: shape_sig(&nodes[0]),
+            samples: eps.map_or(0, Tensor::rows),
         };
-        let (outcome, nodes) = member.submit(Submission {
-            key,
-            nodes,
-            qemb: ctx.qemb.clone(),
-            eps: Some(eps.clone()),
-        });
-        ctx.feat_batch = nodes;
-        match outcome {
-            FusedOutcome::Risk(stats) => out.extend(stats),
-            FusedOutcome::Poisoned(msg) => panic!("fused candidate evaluation failed: {msg}"),
-            FusedOutcome::Mean(_) => unreachable!("risk submission answered with mean result"),
+        let (outcome, joint) = member.submit(Submission { key, joint, eps: eps.cloned() });
+        with_thread_scratch(|sc| sc.recycle(joint));
+        if let FusedOutcome::Poisoned(msg) = outcome {
+            panic!("fused candidate evaluation failed: {msg}");
         }
+        outcome
     }
 
-    /// Execute one broker bucket: every submission's candidate rows through
-    /// as few fused forward passes as congruence allows. Returns one
-    /// outcome per submission (in order) plus the row count of each fused
-    /// pass executed (for occupancy accounting). Called by the flush leader
-    /// with the broker lock held; all submitters are parked, so their
-    /// featurized rows and query tensors are stable for the duration.
-    pub(crate) fn fused_eval(&self, subs: &[Submission]) -> (Vec<FusedOutcome>, Vec<usize>) {
+    /// Execute one broker bucket: the joint rows of every submission,
+    /// concatenated submission-major, through ONE VAE pass — mean scoring,
+    /// or sampled with each row's own submission's eps block — decoded
+    /// into one outcome per submission, in order. Called by the flush
+    /// leader with the broker lock held; every submitter is parked, so its
+    /// rows are stable for the duration.
+    pub(crate) fn fused_eval(&self, subs: &[Submission]) -> Vec<FusedOutcome> {
         let norm = self.normalizer.as_ref().expect("model must be fitted before predict");
-        let samples = subs.first().map(|s| s.key.samples).unwrap_or(0);
-        // Flat row table over every submission's candidates, submission-major.
-        let mut rows: Vec<(&FeatNode, &Tensor, Option<&Tensor>)> = Vec::new();
-        for sub in subs {
-            debug_assert_eq!(sub.key.samples, samples, "buckets are keyed by scoring kind");
-            for node in &sub.nodes {
-                rows.push((node, &sub.qemb, sub.eps.as_ref()));
-            }
-        }
-        let zero = Prediction { cardinality: 0.0, cost: 0.0, runtime_ms: 0.0 };
-        let mut mean_out = vec![zero; rows.len()];
-        let mut risk_out = vec![(0.0, 0.0); rows.len()];
-        let mut forwards = Vec::new();
-        // Group rows by exact tree congruence — re-verified here, so a
-        // shape-signature collision degrades to smaller fused runs instead
-        // of a failed batch — keeping first-seen order within each group.
-        let mut grouped = vec![false; rows.len()];
-        let mut idxs: Vec<usize> = Vec::new();
-        for start in 0..rows.len() {
-            if grouped[start] {
-                continue;
-            }
-            idxs.clear();
-            idxs.push(start);
-            grouped[start] = true;
-            for j in start + 1..rows.len() {
-                if !grouped[j] && crate::encoder::congruent(rows[start].0, rows[j].0) {
-                    grouped[j] = true;
-                    idxs.push(j);
-                }
-            }
-            self.fused_forward_group(&rows, &idxs, samples, norm, &mut mean_out, &mut risk_out);
-            forwards.push(idxs.len());
-        }
-        // Scatter flat results back into per-submission outcomes.
-        let mut outcomes = Vec::with_capacity(subs.len());
-        let mut at = 0;
-        for sub in subs {
-            let k = sub.nodes.len();
-            outcomes.push(if samples == 0 {
-                FusedOutcome::Mean(mean_out[at..at + k].to_vec())
-            } else {
-                FusedOutcome::Risk(risk_out[at..at + k].to_vec())
-            });
-            at += k;
-        }
-        (outcomes, forwards)
-    }
-
-    /// One fused forward over a congruent row group: the attention and VAE
-    /// passes of [`Self::predict_batch_with_context_in`] with a *per-row*
-    /// query embedding (and, under risk scoring, a per-row eps block) so
-    /// rows from different queries share the pass. Rows of different
-    /// queries share no subtree memo, so every node is encoded here.
-    fn fused_forward_group(
-        &self,
-        rows: &[(&FeatNode, &Tensor, Option<&Tensor>)],
-        idxs: &[usize],
-        samples: usize,
-        norm: &TargetNormalizer,
-        mean_out: &mut [Prediction],
-        risk_out: &mut [(f64, f64)],
-    ) {
-        let refs: Vec<&FeatNode> = idxs.iter().map(|&i| rows[i].0).collect();
-        let kn = refs.len();
+        let kn: usize = subs.iter().map(|s| s.joint.rows()).sum();
         with_thread_scratch(|sc| {
-            let nodes_all = self
-                .plan_enc
-                .forward_inference_batch(&self.store, &refs, sc)
-                .expect("rows grouped by exact congruence");
-            let n_nodes = refs[0].count();
-            let qd = rows[idxs[0]].1.cols();
-            let joint = if n_nodes > 1 && self.config.use_attention {
-                let mut qb = sc.take(kn, qd);
-                for (r, &i) in idxs.iter().enumerate() {
-                    qb.row_slice_mut(r).copy_from_slice(rows[i].1.data());
-                }
-                let j =
-                    self.attn.forward_inference_batch(&self.store, &qb, &nodes_all, n_nodes, sc);
-                sc.recycle(qb);
-                sc.recycle(nodes_all);
-                j
-            } else {
-                let mut j = sc.take(kn, qd + self.plan_enc.out_dim());
-                for (r, &i) in idxs.iter().enumerate() {
-                    let row = j.row_slice_mut(r);
-                    row[..qd].copy_from_slice(rows[i].1.data());
-                    row[qd..].copy_from_slice(nodes_all.row_slice((r + 1) * n_nodes - 1));
-                }
-                sc.recycle(nodes_all);
-                j
-            };
-            if samples == 0 {
-                let p = self.vae.forward_inference_batch(&self.store, &joint, sc);
-                sc.recycle(joint);
-                for (r, &i) in idxs.iter().enumerate() {
-                    mean_out[i] = decode(norm, [p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                }
-                sc.recycle(p);
-            } else {
-                let eps_refs: Vec<&Tensor> =
-                    idxs.iter().map(|&i| rows[i].2.expect("risk rows carry eps")).collect();
-                let p =
-                    self.vae.forward_inference_sampled_multi(&self.store, &joint, &eps_refs, sc);
-                sc.recycle(joint);
-                let mut times = Vec::with_capacity(samples);
-                for (k, &i) in idxs.iter().enumerate() {
-                    times.clear();
-                    for si in 0..samples {
-                        let r = si * kn + k;
-                        let raw = norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)]);
-                        times.push(raw[2]);
-                    }
-                    risk_out[i] = mean_sigma(&times);
-                }
-                sc.recycle(p);
+            let mut joint = sc.take(kn, self.config.joint_dim());
+            let mut at = 0;
+            for sub in subs {
+                let len = sub.joint.data().len();
+                joint.data_mut()[at..at + len].copy_from_slice(sub.joint.data());
+                at += len;
             }
-        });
+            let risk = subs.first().is_some_and(|s| s.eps.is_some());
+            let p = if risk {
+                let eps_of: Vec<&Tensor> = subs
+                    .iter()
+                    .flat_map(|s| {
+                        let eps = s.eps.as_ref().expect("buckets are keyed by scoring kind");
+                        std::iter::repeat_n(eps, s.joint.rows())
+                    })
+                    .collect();
+                self.vae.forward_inference_sampled_multi(&self.store, &joint, &eps_of, sc)
+            } else {
+                self.vae.forward_inference_batch(&self.store, &joint, sc)
+            };
+            sc.recycle(joint);
+            let mut times = Vec::new();
+            let mut at = 0;
+            let outcomes = subs
+                .iter()
+                .map(|sub| {
+                    let rows = at..at + sub.joint.rows();
+                    at = rows.end;
+                    if risk {
+                        FusedOutcome::Risk(
+                            rows.map(|k| risk_stats(norm, &p, kn, k, &mut times)).collect(),
+                        )
+                    } else {
+                        FusedOutcome::Mean(
+                            rows.map(|r| decode(norm, [p.get(r, 0), p.get(r, 1), p.get(r, 2)]))
+                                .collect(),
+                        )
+                    }
+                })
+                .collect();
+            sc.recycle(p);
+            outcomes
+        })
     }
 
     /// Reference prediction through the autodiff tape (the training-path
@@ -1133,9 +1051,6 @@ pub struct QueryContext {
     /// Crate-visible so the MCTS loop can pick the matching plan
     /// materialization (see `PlanAssembler::build_for_eval`).
     pub(crate) fast: bool,
-    /// Reusable featurization buffer for broker submissions, so a steady
-    /// stream of flushes allocates no new `Vec<FeatNode>`s.
-    feat_batch: Vec<FeatNode>,
     /// LSTM `(h, c)` per subtree interned in `plan_cache`.
     memo: SubtreeMemo,
     /// The current batch's served plans: post-order subtree ids, back to
@@ -1157,8 +1072,10 @@ impl QueryContext {
 
     /// Plan-node positions scored through this context on the fast path:
     /// the LSTM rows an encoder without the subtree memo would compute.
-    /// Plans scored through an [`crate::evalbroker::EvalBroker`] or the
-    /// tape count in neither counter.
+    /// Plans scored through an [`crate::evalbroker::EvalBroker`] count in
+    /// both counters exactly as scored locally (the submitter encodes them
+    /// through this context); plans scored through the tape count in
+    /// neither.
     pub fn node_positions(&self) -> usize {
         self.node_positions
     }
@@ -1171,11 +1088,6 @@ impl QueryContext {
         self.memo.clear();
         self.lstm_rows = 0;
         self.node_positions = 0;
-    }
-
-    /// Whether the fast featurizer represents every plan exactly.
-    fn binds_all(&self, plans: &[&PlanNode]) -> bool {
-        plans.iter().all(|p| self.plan_cache.plan_mask(p).is_some())
     }
 }
 
@@ -1257,6 +1169,24 @@ fn merge_tape<T>(
 /// Row `i` of the batch noise tensor as a standalone `[1, latent]` tensor.
 fn eps_row(eps_all: &Tensor, i: usize) -> Tensor {
     Tensor::row(eps_all.row_slice(i).to_vec())
+}
+
+/// Runtime `(mean, sigma)` of candidate `k` of `kn` from sample-major
+/// `[S·kn, 3]` predictions (candidate `k`'s sample `si` is row `si·kn + k`):
+/// samples decode in ascending order and accumulate in `f64`.
+fn risk_stats(
+    norm: &TargetNormalizer,
+    p: &Tensor,
+    kn: usize,
+    k: usize,
+    times: &mut Vec<f64>,
+) -> (f64, f64) {
+    times.clear();
+    for si in 0..p.rows() / kn {
+        let r = si * kn + k;
+        times.push(norm.decode([p.get(r, 0), p.get(r, 1), p.get(r, 2)])[2]);
+    }
+    mean_sigma(times)
 }
 
 /// Mean and population standard deviation, accumulated in `f64` in slice

@@ -14,8 +14,8 @@
 //! partial-forest scores are out-of-distribution noise. Every candidate
 //! state is therefore scored by greedily completing its forest to a full
 //! plan (first joinable pair, hash join) and evaluating that completion
-//! through the shared [`Evaluator`] (batched when congruent, memoized by
-//! the completion's postorder signature). Ranking thus directly minimizes
+//! through the shared [`Evaluator`] (batched, whatever the completions'
+//! shapes, and memoized by the completion's postorder signature). Ranking thus directly minimizes
 //! the same objective left-deep MCTS optimizes, and the search returns
 //! the best-scoring complete plan seen anywhere — at the final level the
 //! completions are the states themselves.

@@ -278,25 +278,23 @@ impl<'a> Evaluator<'a> {
         ctx: &mut QueryContext,
     ) -> f64 {
         if let Some(b) = self.broker {
-            if ctx.fast {
-                // Single-candidate submissions still fuse with other
-                // members' rows; the row-wise contract keeps the value
-                // bitwise equal to the local call below.
-                let plans = [plan];
-                match &self.risk {
-                    None => {
-                        let mut tmp = Vec::with_capacity(1);
-                        self.model.broker_predict_batch_in(b, sess, query, &plans, ctx, &mut tmp);
-                        return tmp[0].runtime_ms;
-                    }
-                    Some(r) => {
-                        let mut tmp = Vec::with_capacity(1);
-                        self.model.broker_predict_risk_batch_in(
-                            b, sess, query, &plans, ctx, &r.eps, &mut tmp,
-                        );
-                        let (mean, sigma) = tmp[0];
-                        return mean + r.lambda * sigma;
-                    }
+            // Single-candidate submissions still fuse with other members'
+            // rows; the row-wise contract keeps the value bitwise equal to
+            // the local call below.
+            let plans = [plan];
+            match &self.risk {
+                None => {
+                    let mut tmp = Vec::with_capacity(1);
+                    self.model.broker_predict_batch_in(b, sess, query, &plans, ctx, &mut tmp);
+                    return tmp[0].runtime_ms;
+                }
+                Some(r) => {
+                    let mut tmp = Vec::with_capacity(1);
+                    self.model.broker_predict_risk_batch_in(
+                        b, sess, query, &plans, ctx, &r.eps, &mut tmp,
+                    );
+                    let (mean, sigma) = tmp[0];
+                    return mean + r.lambda * sigma;
                 }
             }
         }
@@ -321,22 +319,20 @@ impl<'a> Evaluator<'a> {
     ) {
         scores.clear();
         if let Some(b) = self.broker {
-            if ctx.fast && !plans.is_empty() {
-                match &self.risk {
-                    None => {
-                        self.model.broker_predict_batch_in(b, sess, query, plans, ctx, preds_buf);
-                        scores.extend(preds_buf.iter().map(|p| p.runtime_ms));
-                    }
-                    Some(r) => {
-                        let mut stats = Vec::with_capacity(plans.len());
-                        self.model.broker_predict_risk_batch_in(
-                            b, sess, query, plans, ctx, &r.eps, &mut stats,
-                        );
-                        scores.extend(stats.iter().map(|&(mean, sigma)| mean + r.lambda * sigma));
-                    }
+            match &self.risk {
+                None => {
+                    self.model.broker_predict_batch_in(b, sess, query, plans, ctx, preds_buf);
+                    scores.extend(preds_buf.iter().map(|p| p.runtime_ms));
                 }
-                return;
+                Some(r) => {
+                    let mut stats = Vec::with_capacity(plans.len());
+                    self.model.broker_predict_risk_batch_in(
+                        b, sess, query, plans, ctx, &r.eps, &mut stats,
+                    );
+                    scores.extend(stats.iter().map(|&(mean, sigma)| mean + r.lambda * sigma));
+                }
             }
+            return;
         }
         match &self.risk {
             None => {

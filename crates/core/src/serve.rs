@@ -153,6 +153,13 @@ pub struct ServeResult {
     /// without a shared eval broker, so this count is invariant across
     /// broker modes and worker counts.
     pub evals: usize,
+    /// The successful neural attempt's search counters
+    /// [`MctsResult::lstm_rows`](crate::search::mcts::MctsResult::lstm_rows)
+    /// and `node_positions` (0 on the classical path and on cache hits).
+    /// Broker submitters encode through their own subtree memo, so like
+    /// `evals` these are invariant across broker modes and worker counts.
+    pub lstm_rows: usize,
+    pub node_positions: usize,
 }
 
 /// Plan `query`, preferring the neural planner but guaranteeing a valid
@@ -272,6 +279,8 @@ pub fn plan_with_fallback_in(
             predicted_ms: Some(result.predicted_ms),
             cache_hit: false,
             evals: result.plans_evaluated,
+            lstm_rows: result.lstm_rows,
+            node_positions: result.node_positions,
         };
     }
 
@@ -297,6 +306,8 @@ fn classical(
         predicted_ms: None,
         cache_hit: false,
         evals: 0,
+        lstm_rows: 0,
+        node_positions: 0,
     }
 }
 
@@ -332,11 +343,12 @@ pub struct SupervisorConfig {
     /// [`crate::plancache`] for the invalidation protocol).
     pub cache: Option<PlanCacheCtx>,
     /// Route candidate scoring through a shared [`EvalBroker`]: every
-    /// worker becomes a broker member and congruent scoring requests from
-    /// all of them fuse into wide forward passes. Plans are bitwise
-    /// identical to broker-off serving (batched inference matches scalar
-    /// row for row); only where the arithmetic runs changes. `None` keeps
-    /// per-session scoring.
+    /// worker becomes a broker member, encodes its candidates through its
+    /// own subtree memo, and the joint rows of all members' requests (of
+    /// one model and scoring kind) fuse into wide VAE passes. Plans are
+    /// bitwise identical to broker-off serving (batched inference matches
+    /// scalar row for row); only where the arithmetic runs changes. `None`
+    /// keeps per-session scoring.
     pub broker: Option<BrokerConfig>,
 }
 
@@ -993,6 +1005,8 @@ fn serve_admitted(
                     predicted_ms: Some(hit.predicted_ms),
                     cache_hit: true,
                     evals: 0,
+                    lstm_rows: 0,
+                    node_positions: 0,
                 };
             }
         }

@@ -101,8 +101,9 @@ commands:
            [--batch-eval <n>] (candidates scored per batched cost-model
             pass, for every strategy; 1 disables batching; default 16)
            [--broker] (fuse candidate scoring across all workers through a
-            shared eval broker: congruent requests pack into wide forward
-            passes; plans are bitwise identical to broker-off serving)
+            shared eval broker: each worker encodes its own candidates, and
+            their rows pack into wide VAE passes; plans are bitwise
+            identical to broker-off serving)
            [--batch-target <rows>] (broker: rows at which a fused batch
             flushes immediately; default 64)
            [--batch-window-us <us>] (broker: micro-batch deadline on the
@@ -374,9 +375,9 @@ fn apply_strategy_opts(opts: &Opts, strat: &mut StrategyConfig) -> Result<(), St
 }
 
 /// `--broker [--batch-target <rows>] [--batch-window-us <us>]`: route
-/// candidate scoring through a shared eval broker that fuses congruent
-/// requests from every worker (and, under `--tenants`, every lane) into
-/// wide forward passes. Plans are bitwise identical to broker-off serving.
+/// candidate scoring through a shared eval broker that fuses the encoded
+/// candidates of every worker (and, under `--tenants`, every lane) into
+/// wide VAE passes. Plans are bitwise identical to broker-off serving.
 fn apply_broker_opts(opts: &Opts, broker: &mut Option<BrokerConfig>) -> Result<(), String> {
     if !opts.contains_key("broker") {
         if opts.contains_key("batch-target") || opts.contains_key("batch-window-us") {

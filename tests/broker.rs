@@ -5,7 +5,8 @@
 //! 1. broker on/off over the same stream at 1, 2 and 4 workers chooses
 //!    bitwise-identical plans and reports identical counters (after
 //!    zeroing the broker-only fusion gauges) — including the eval-candidate
-//!    total, which counts *work*, not batches;
+//!    total, which counts *work*, not batches, and each request's
+//!    subtree-memo counters (LSTM rows, node positions);
 //! 2. a mixed multi-tenant stream — several lanes sharing one model `Arc`,
 //!    one lane running the risk-aware strategy — serves identical plans
 //!    with the broker fusing rows across tenant lanes;
@@ -120,6 +121,10 @@ fn broker_is_invisible_in_plans_counters_and_eval_totals() {
     assert!(ref_counters.conservation_holds(), "{ref_counters}");
     assert!(ref_counters.eval_candidates > 0, "stream must exercise neural scoring");
     let ref_served = served(&ref_outcomes);
+    assert!(
+        ref_served.iter().any(|r| r.lstm_rows > 0 && r.lstm_rows < r.node_positions),
+        "the stream must exercise the subtree memo"
+    );
 
     for workers in [1usize, 2, 4] {
         let (outcomes, counters) = run(workers, Some(BrokerConfig::default()));
@@ -145,6 +150,13 @@ fn broker_is_invisible_in_plans_counters_and_eval_totals() {
                 "prediction diverged under the broker at {workers} workers"
             );
             assert_eq!(a.evals, b.evals, "per-request eval count diverged");
+            // Broker submitters encode through their own subtree memo, so
+            // the memo's counters see every broker-scored plan too.
+            assert_eq!(
+                (a.lstm_rows, a.node_positions),
+                (b.lstm_rows, b.node_positions),
+                "subtree-memo counters diverged under the broker at {workers} workers"
+            );
         }
     }
 }
